@@ -192,8 +192,7 @@ func (s *server) handler(timeout time.Duration) http.Handler {
 func (s *server) instrumented(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.rec.Inc(obs.HTTPRequests)
-		span := s.rec.StartPhase(obs.PhaseHTTP)
-		defer span.End()
+		defer obs.StartUnder(s.rec, nil, obs.PhaseHTTP).End()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		if sw.status >= 400 {

@@ -322,13 +322,13 @@ func OpenGraphIndex(dir string, opt IndexOptions) (*GraphIndex, error) {
 		return nil, err
 	}
 	// The on-disk layout wins over the requested count: a manifest pins
-	// the shard count; a manifest-less directory with legacy index files
-	// is a single-shard index.
+	// the shard count; a manifest-less directory with index files at its
+	// root is a single-shard index (which never writes a manifest).
 	switch m, err := store.ReadManifest(dir); {
 	case err == nil:
 		nShards = m.Shards
 	case errors.Is(err, os.ErrNotExist):
-		if legacyIndexFiles(dir) {
+		if singleShardLayout(dir) {
 			nShards = 1
 		} else if nShards > 1 {
 			m := store.Manifest{Version: store.Version, Shards: nShards, TreeStore: opt.TreeStore != nil}
@@ -391,9 +391,12 @@ func OpenGraphIndex(dir string, opt IndexOptions) (*GraphIndex, error) {
 	return ix, nil
 }
 
-// legacyIndexFiles reports whether dir holds a pre-manifest single-shard
-// index (index.snap or index.wal directly at the root).
-func legacyIndexFiles(dir string) bool {
+// singleShardLayout reports whether dir holds a single-shard index
+// (index.snap or index.wal directly at the root). Single-shard indexes
+// write no manifest, so this is how every one of them is recognized on
+// reopen — without it, reopening one with Shards > 1 would start an
+// empty sharded index beside the existing data.
+func singleShardLayout(dir string) bool {
 	for _, name := range []string{store.SnapshotName, store.WALName} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			return true
@@ -411,33 +414,15 @@ func (ix *GraphIndex) Add(g *Graph) (id int, duplicate bool, err error) {
 	return ix.AddCtx(context.Background(), g)
 }
 
-// recorderFor resolves the recorder for one ctx-scoped operation: the
-// trace's forwarding recorder when ctx carries a trace (per-request
-// deltas plus the global base), the index's own recorder otherwise. The
-// invariant callers must keep — indexd does — is that a trace on ctx was
-// created over this index's recorder, so the base still sees everything.
-func (ix *GraphIndex) recorderFor(ctx context.Context) *obs.Recorder {
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		return tr.Recorder()
-	}
-	return ix.opt.Obs
-}
-
 // AddCtx is Add with a context bounding the certificate build: if ctx is
 // canceled (or the index's Budget is exhausted) mid-canonicalization, the
 // build stops promptly and AddCtx returns ErrCanceled/ErrBudgetExceeded
 // with the index unchanged. The shard insert itself is not cancelable —
 // once the certificate exists the insert is O(1) plus a WAL append.
 func (ix *GraphIndex) AddCtx(ctx context.Context, g *Graph) (id int, duplicate bool, err error) {
-	rec := ix.recorderFor(ctx)
-	rec.Inc(obs.IndexAdds)
-	span := rec.StartPhase(obs.PhaseIndexAdd)
+	ctx, rec, span := obs.Start(ctx, ix.opt.Obs, obs.PhaseIndexAdd) // the build span nests below
 	defer span.End()
-	ts := obs.TraceFrom(ctx).StartSpan(obs.SpanFrom(ctx), "index_add")
-	defer ts.End()
-	if ts != nil {
-		ctx = obs.WithSpan(ctx, ts) // the build span nests below
-	}
+	rec.Inc(obs.IndexAdds)
 
 	cert, err := ix.certOfCtx(ctx, g) // outside any lock: pure, possibly expensive
 	if err != nil {
@@ -459,7 +444,7 @@ func (ix *GraphIndex) AddCert(cert string) (id int, duplicate bool, err error) {
 // index/WAL counters as request deltas. No span is recorded — bulk apply
 // calls this once per record, and span-per-record would drown the tree.
 func (ix *GraphIndex) AddCertCtx(ctx context.Context, cert string) (id int, duplicate bool, err error) {
-	rec := ix.recorderFor(ctx)
+	rec := obs.RecorderFor(ctx, ix.opt.Obs)
 	rec.Inc(obs.IndexAdds)
 	return ix.addCert(cert, rec)
 }
@@ -474,7 +459,7 @@ func (ix *GraphIndex) addCert(cert string, rec *obs.Recorder) (id int, duplicate
 		return 0, false, ErrIndexClosed
 	}
 	if sh.st != nil {
-		wspan := rec.StartPhase(obs.PhaseWALAppend)
+		wspan := obs.StartUnder(rec, nil, obs.PhaseWALAppend)
 		_, werr := sh.st.Append(cert)
 		wspan.End()
 		if werr != nil {
@@ -532,15 +517,9 @@ func (ix *GraphIndex) Lookup(g *Graph) []int {
 // cancellation or budget exhaustion it returns a nil slice and the typed
 // error.
 func (ix *GraphIndex) LookupCtx(ctx context.Context, g *Graph) ([]int, error) {
-	rec := ix.recorderFor(ctx)
-	rec.Inc(obs.IndexLookups)
-	span := rec.StartPhase(obs.PhaseIndexLookup)
+	ctx, rec, span := obs.Start(ctx, ix.opt.Obs, obs.PhaseIndexLookup)
 	defer span.End()
-	ts := obs.TraceFrom(ctx).StartSpan(obs.SpanFrom(ctx), "index_lookup")
-	defer ts.End()
-	if ts != nil {
-		ctx = obs.WithSpan(ctx, ts)
-	}
+	rec.Inc(obs.IndexLookups)
 
 	cert, err := ix.certOfCtx(ctx, g)
 	if err != nil {
@@ -602,9 +581,7 @@ func (ix *GraphIndex) Flush() error {
 
 // flushShard compacts one shard under its own lock.
 func (ix *GraphIndex) flushShard(sh *indexShard) error {
-	rec := ix.opt.Obs
-	span := rec.StartPhase(obs.PhaseSnapshot)
-	defer span.End()
+	defer obs.StartUnder(ix.opt.Obs, nil, obs.PhaseSnapshot).End()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
@@ -800,7 +777,7 @@ func (ix *GraphIndex) certOfCtx(ctx context.Context, g *Graph) (string, error) {
 		cert, err := CanonicalCertCtx(ctx, g, nil, ix.opt)
 		return string(cert), err
 	}
-	rec := ix.recorderFor(ctx)
+	rec := obs.RecorderFor(ctx, ix.opt.Obs)
 	key := g.Hash()
 	if cert, ok := ix.cache.get(key); ok {
 		rec.Inc(obs.CertCacheHits)

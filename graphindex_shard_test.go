@@ -103,10 +103,10 @@ func TestShardedIndexPersistence(t *testing.T) {
 	}
 }
 
-// TestShardedIndexLegacyLayout: a directory created by a single-shard
-// index (PR 2 layout: index.snap/index.wal at the root, no manifest)
+// TestShardedIndexSingleShardLayout: a directory created by a
+// single-shard index (index.snap/index.wal at the root, no manifest)
 // reopens as one shard even when more are requested.
-func TestShardedIndexLegacyLayout(t *testing.T) {
+func TestShardedIndexSingleShardLayout(t *testing.T) {
 	dir := t.TempDir()
 	ix, err := OpenGraphIndex(dir, IndexOptions{})
 	if err != nil {
@@ -129,10 +129,10 @@ func TestShardedIndexLegacyLayout(t *testing.T) {
 	}
 	defer ix2.Close()
 	if got := ix2.Stats().Shards; got != 1 {
-		t.Fatalf("legacy layout adopted as %d shards, want 1", got)
+		t.Fatalf("single-shard layout adopted as %d shards, want 1", got)
 	}
 	if ix2.Len() != len(graphs) {
-		t.Fatalf("legacy reload lost graphs: %d", ix2.Len())
+		t.Fatalf("single-shard reload lost graphs: %d", ix2.Len())
 	}
 }
 

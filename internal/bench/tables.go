@@ -7,6 +7,7 @@ import (
 	"dvicl/internal/canon"
 	"dvicl/internal/clique"
 	"dvicl/internal/core"
+	"dvicl/internal/engine"
 	"dvicl/internal/gen"
 	"dvicl/internal/graph"
 	"dvicl/internal/im"
@@ -54,7 +55,7 @@ func Table2(cfg Config) Table {
 			continue
 		}
 		g := d.Build(1)
-		tree := core.Build(g, nil, core.Options{LeafTimeout: cfg.Timeout})
+		tree := core.Build(g, nil, core.Options{Budget: engine.Budget{LeafTimeout: cfg.Timeout}})
 		cells, singles := tree.OrbitStats()
 		t.Rows = append(t.Rows, []string{
 			d.Name,
@@ -112,7 +113,7 @@ func Table4(cfg Config) Table {
 		}
 		g := d.Build(1)
 		rec := obs.New()
-		tree := core.Build(g, nil, core.Options{LeafTimeout: cfg.Timeout, Obs: rec})
+		tree := core.Build(g, nil, core.Options{Budget: engine.Budget{LeafTimeout: cfg.Timeout}, Obs: rec})
 		t.Rows = append(t.Rows, autotreeRow(d.Name, tree))
 		t.Snapshots = append(t.Snapshots, map[string]obs.Snapshot{"dvicl": rec.Snapshot()})
 	}
@@ -147,7 +148,7 @@ func runComparison(g *graph.Graph, timeout time.Duration) ([]string, map[string]
 		rec = obs.New()
 		var tree *core.Tree
 		m = Measure(func() bool {
-			tree = core.Build(g, nil, core.Options{LeafPolicy: pol, LeafTimeout: timeout, Obs: rec})
+			tree = core.Build(g, nil, core.Options{LeafPolicy: pol, Budget: engine.Budget{LeafTimeout: timeout}, Obs: rec})
 			return !tree.Truncated
 		})
 		snaps["dvicl+"+pol.String()] = rec.Snapshot()

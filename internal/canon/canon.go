@@ -107,7 +107,8 @@ type Result struct {
 	// automorphisms against it were still reachable.
 	PruneFirstPath int64
 	// PruneBestPath counts subtrees cut by the best-path invariant (P_B):
-	// the trace exceeded the current canonical candidate's.
+	// the trace exceeded the current canonical candidate's, or the path
+	// had already left the candidate's path above.
 	PruneBestPath int64
 	// PruneOrbit counts candidates cut by orbit pruning (P_C).
 	PruneOrbit int64
@@ -445,6 +446,11 @@ func (o *orbitPruner) markExplored(v int) {
 // A child whose trace is *smaller* than the best path's invalidates the
 // current best candidate (the canonical form is the minimum (trace, cert)
 // over all leaves).
+//
+// The comparison with the best path is only meaningful while the node's
+// own trace equals the best path's prefix: a node whose path already
+// diverged above (kept only because it follows the first path, for P_A)
+// cannot lead to the canonical leaf, however small its trace is here.
 func (s *search) keepChild(t uint64, level int) bool {
 	matchFirst := s.first != nil && level < len(s.first.trace) && s.first.trace[level] == t
 	if s.opt.AutomorphismsOnly && s.first != nil {
@@ -459,6 +465,12 @@ func (s *search) keepChild(t uint64, level int) bool {
 	if level >= len(s.best.trace) {
 		// The best path is shallower; by the shorter-is-smaller rule this
 		// deeper subtree cannot beat it, but may still hold automorphisms.
+		if !matchFirst {
+			s.pruneBest++
+		}
+		return matchFirst
+	}
+	if !slices.Equal(s.trace[:level], s.best.trace[:level]) {
 		if !matchFirst {
 			s.pruneBest++
 		}

@@ -17,7 +17,6 @@ import (
 	"context"
 	"math/big"
 	"sort"
-	"time"
 
 	"dvicl/internal/canon"
 	"dvicl/internal/coloring"
@@ -34,18 +33,8 @@ type Options struct {
 	LeafPolicy canon.Policy
 	// Budget bounds the build: whole-build deadline and node cap (hard,
 	// BuildCtx returns ErrBudgetExceeded) composed with per-leaf bounds
-	// (soft, Tree.Truncated). The legacy LeafMaxNodes/LeafTimeout fields
-	// below fill the corresponding Budget fields when those are zero.
+	// (soft, Tree.Truncated).
 	Budget engine.Budget
-	// LeafMaxNodes bounds each leaf search (0 = unlimited).
-	//
-	// Deprecated: set Budget.LeafMaxNodes.
-	LeafMaxNodes int64
-	// LeafTimeout bounds each leaf search by wall clock (0 = unlimited) —
-	// the per-leaf analogue of the paper's two-hour limit.
-	//
-	// Deprecated: set Budget.LeafTimeout.
-	LeafTimeout time.Duration
 	// DisableTwinSimplification turns off the structural-equivalence
 	// preprocessing of Section 6.1. On by default because real graphs are
 	// full of twins.
@@ -80,18 +69,6 @@ type Options struct {
 	// so indexd-style callers should create the trace over the same
 	// recorder they would have passed here.
 	Obs *obs.Recorder
-}
-
-// effectiveBudget folds the deprecated per-leaf knobs into the Budget.
-func (o Options) effectiveBudget() engine.Budget {
-	b := o.Budget
-	if b.LeafMaxNodes == 0 {
-		b.LeafMaxNodes = o.LeafMaxNodes
-	}
-	if b.LeafTimeout == 0 {
-		b.LeafTimeout = o.LeafTimeout
-	}
-	return b
 }
 
 // NodeKind distinguishes the three node shapes of an AutoTree.
@@ -280,8 +257,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 	} else {
 		pi = pi.Clone()
 	}
-	budget := opt.effectiveBudget()
-	ctl := engine.NewCtl(ctx, budget)
+	ctl := engine.NewCtl(ctx, opt.Budget)
 	ws := opt.Workspace
 	if ws == nil {
 		ws = engine.GetWorkspace(n)
@@ -292,22 +268,16 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 	// A trace on the context redirects observations into its forwarding
 	// recorder: the request keeps its own deltas, the original opt.Obs
 	// (the trace's base) still sees every increment exactly once.
-	tr := obs.TraceFrom(ctx)
-	if tr != nil {
-		opt.Obs = tr.Recorder()
-	}
-	span := tr.StartSpan(obs.SpanFrom(ctx), "build")
+	_, rec, span := obs.Start(ctx, opt.Obs, obs.PhaseBuild)
+	defer span.End()
+	opt.Obs = rec
 	span.SetAttr("n", int64(n))
 	span.SetAttr("m", int64(g.M()))
-	defer span.End()
-	buildSpan := opt.Obs.StartPhase(obs.PhaseBuild)
-	defer buildSpan.End()
+	ts := span.TraceSpan()
 	// Line 1–2 of Algorithm 1: equitable refinement, then color values.
-	rs := span.Child("refine")
-	refineSpan := opt.Obs.StartPhase(obs.PhaseRefine)
+	refineSpan := obs.StartUnder(opt.Obs, ts, obs.PhaseRefine)
 	_, err := pi.RefineWS(g, nil, ws, ctl, opt.Obs)
 	refineSpan.End()
-	rs.End()
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +286,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 		colors[v] = pi.Color(v)
 	}
 	t := &Tree{g: g, colors: colors, leafOf: make([]int, n)}
-	b := &builder{t: t, opt: opt, budget: budget, ctl: ctl, tr: tr}
+	b := &builder{t: t, opt: opt, ctl: ctl}
 	if opt.Workers > 1 {
 		// The pool outlives the root build call by construction: stop()
 		// runs after cl has returned, when every join has completed, so
@@ -335,14 +305,14 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 	wk := &worker{ws: ws}
 	var root *Node
 	if !opt.DisableTwinSimplification {
-		root, err = b.buildSimplified(wk, span)
+		root, err = b.buildSimplified(wk, ts)
 	} else {
 		all := make([]int, n)
 		for i := range all {
 			all[i] = i
 		}
 		mark := ws.Arena.Mark()
-		root, err = b.cl(b.subgraphOf(all, wk), wk, span)
+		root, err = b.cl(b.subgraphOf(all, wk), wk, ts)
 		ws.Arena.Release(mark)
 	}
 	if err != nil {
@@ -402,7 +372,8 @@ type Stats struct {
 	// engine reached across all non-singleton leaves.
 	LeafSearchLeaves int64
 	// TruncatedLeaves counts non-singleton leaves whose search hit
-	// LeafMaxNodes or LeafTimeout (labeling is then best-effort).
+	// Budget.LeafMaxNodes or Budget.LeafTimeout (labeling is then
+	// best-effort).
 	TruncatedLeaves int
 }
 

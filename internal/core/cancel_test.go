@@ -152,25 +152,6 @@ func TestBudgetCompositionLeafBoundSoft(t *testing.T) {
 	}
 }
 
-// TestLegacyLeafKnobsFoldIntoBudget: the deprecated Options.LeafMaxNodes
-// path must behave exactly like Budget.LeafMaxNodes.
-func TestLegacyLeafKnobsFoldIntoBudget(t *testing.T) {
-	g := hardGraph()
-	legacy := Build(g, nil, Options{LeafMaxNodes: 1})
-	budgeted, err := BuildCtx(context.Background(), g, nil,
-		Options{Budget: engine.Budget{LeafMaxNodes: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !legacy.Truncated || !budgeted.Truncated {
-		t.Fatalf("truncated = %v/%v, want true/true", legacy.Truncated, budgeted.Truncated)
-	}
-	lc, bc := legacy.CanonicalCert(), budgeted.CanonicalCert()
-	if string(lc) != string(bc) {
-		t.Fatal("legacy LeafMaxNodes and Budget.LeafMaxNodes produced different certificates")
-	}
-}
-
 // TestBuildCtxUnbudgetedMatchesBuild: threading a background context
 // and zero budget through the new entry point must be a pure refactor —
 // byte-identical certificates to the legacy wrapper.

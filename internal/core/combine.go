@@ -66,11 +66,12 @@ func (d *descriptor) pair(a, b int) {
 // below this node is built, then the frame is released at once. The
 // subgraph sg itself belongs to the caller's frame.
 //
-// ts is the enclosing trace span (nil when untraced): each divided node
-// hangs a "divide_i"/"divide_s" span under it and recurses with that span
-// as the parent, so the span tree mirrors the AutoTree's division
-// structure. Singleton leaves record no span; the trace's span cap bounds
-// pathological trees.
+// ts is the enclosing trace span (nil when untraced). Every divide
+// attempt opens a divide_i/divide_s span under it, timing only the
+// division; the successful one becomes the parent of the children's
+// spans and of the node's combine_st, so the span tree mirrors the
+// AutoTree's division structure. Singleton leaves record no span; the
+// trace's span cap bounds pathological trees.
 func (b *builder) cl(sg *subgraph, wk *worker, ts *obs.TraceSpan) (*Node, error) {
 	if err := b.ctl.Poll(); err != nil {
 		return nil, err
@@ -90,14 +91,14 @@ func (b *builder) cl(sg *subgraph, wk *worker, ts *obs.TraceSpan) (*Node, error)
 	mark := wk.ws.Arena.Mark()
 	defer wk.ws.Arena.Release(mark)
 	b.opt.Obs.Inc(obs.DivideICalls)
-	spanI := b.opt.Obs.StartPhase(obs.PhaseDivideI)
+	span := obs.StartUnder(b.opt.Obs, ts, obs.PhaseDivideI)
 	div, ok := b.divideI(sg, wk)
-	spanI.End()
+	span.End()
 	if !ok && !b.opt.DisableDivideS {
 		b.opt.Obs.Inc(obs.DivideSCalls)
-		spanS := b.opt.Obs.StartPhase(obs.PhaseDivideS)
+		span = obs.StartUnder(b.opt.Obs, ts, obs.PhaseDivideS)
 		div, ok = b.divideS(sg, wk)
-		spanS.End()
+		span.End()
 	}
 	if !ok {
 		wk.ws.Arena.Release(mark) // drop the failed divides' scratch before the leaf search
@@ -109,21 +110,14 @@ func (b *builder) cl(sg *subgraph, wk *worker, ts *obs.TraceSpan) (*Node, error)
 	nd.Kind = KindInternal
 	nd.Divide = div.kind
 	nd.desc = div.desc
-	name := "divide_i"
-	if div.kind == DividedS {
-		name = "divide_s"
-	}
-	ds := b.tr.StartSpan(ts, name)
-	ds.SetAttr("size", int64(len(sg.verts)))
-	ds.SetAttr("children", int64(len(div.children)))
-	children, err := b.buildChildren(div.children, wk, ds)
+	span.SetAttr("size", int64(len(sg.verts)))
+	span.SetAttr("children", int64(len(div.children)))
+	children, err := b.buildChildren(div.children, wk, span.TraceSpan())
 	if err != nil {
-		ds.End()
 		return nil, err
 	}
 	nd.Children = children
-	b.combineST(nd, wk)
-	ds.End()
+	b.combineST(nd, wk, span.TraceSpan())
 	return nd, nil
 }
 
@@ -223,11 +217,9 @@ func (b *builder) makeSingleton(nd *Node, wk *worker) {
 func (b *builder) combineCL(nd *Node, sg *subgraph, wk *worker, ts *obs.TraceSpan) error {
 	nd.Kind = KindLeaf
 	b.opt.Obs.Inc(obs.LeafSearches)
-	leafSpan := b.tr.StartSpan(ts, "leaf_search")
-	leafSpan.SetAttr("size", int64(len(sg.verts)))
-	defer leafSpan.End()
-	span := b.opt.Obs.StartPhase(obs.PhaseCombineCL)
+	span := obs.StartUnder(b.opt.Obs, ts, obs.PhaseCombineCL)
 	defer span.End()
+	span.SetAttr("size", int64(len(sg.verts)))
 	ws := wk.ws
 	cells := b.cellsOf(sg, ws)
 	pi, err := coloring.FromCells(len(sg.verts), cells)
@@ -236,12 +228,12 @@ func (b *builder) combineCL(nd *Node, sg *subgraph, wk *worker, ts *obs.TraceSpa
 	}
 	copt := canon.Options{
 		Policy:   b.opt.LeafPolicy,
-		MaxNodes: b.budget.LeafMaxNodes,
+		MaxNodes: b.opt.Budget.LeafMaxNodes,
 		Obs:      b.opt.Obs,
-		Span:     leafSpan,
+		Span:     span.TraceSpan(),
 	}
-	if b.budget.LeafTimeout > 0 {
-		copt.Deadline = time.Now().Add(b.budget.LeafTimeout)
+	if b.opt.Budget.LeafTimeout > 0 {
+		copt.Deadline = time.Now().Add(b.opt.Budget.LeafTimeout)
 	}
 	res, err := canon.CanonicalCtl(b.ctl, ws, sg.local, pi, copt)
 	if err != nil {
@@ -326,10 +318,9 @@ func leafCert(nd *Node, sg *subgraph, cells [][]int, b *builder, wk *worker) []b
 // same-colored vertices of g, yielding γg. It also recomputes the node's
 // certificate from the descriptor and the sorted child certificates.
 // It is re-runnable: twin expansion (Section 6.1) calls it again after
-// inserting children.
-func (b *builder) combineST(nd *Node, wk *worker) {
-	span := b.opt.Obs.StartPhase(obs.PhaseCombineST)
-	defer span.End()
+// inserting children. ts is the trace parent of its combine_st span.
+func (b *builder) combineST(nd *Node, wk *worker, ts *obs.TraceSpan) {
+	defer obs.StartUnder(b.opt.Obs, ts, obs.PhaseCombineST).End()
 	b.sortChildren(nd.Children, wk)
 	// Recompute Verts as the union of children (expansion changes it).
 	total := 0

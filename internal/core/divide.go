@@ -6,7 +6,6 @@ import (
 
 	"dvicl/internal/engine"
 	"dvicl/internal/graph"
-	"dvicl/internal/obs"
 )
 
 // subgraph is a working colored subgraph (g, πg) during construction:
@@ -27,17 +26,12 @@ type subgraph struct {
 type builder struct {
 	t   *Tree
 	opt Options
-	// budget is opt's effective budget (legacy leaf knobs folded in);
-	// ctl enforces its whole-build bounds plus context cancellation.
-	// ctl is nil for unbudgeted, uncancelable builds.
-	budget engine.Budget
-	ctl    *engine.Ctl
+	// ctl enforces opt.Budget's whole-build bounds plus context
+	// cancellation; nil for unbudgeted, uncancelable builds.
+	ctl *engine.Ctl
 	// sched is the build's work-stealing worker pool (nil when
 	// sequential); see sched.go.
 	sched *sched
-	// tr is the request trace the build attaches its span tree to
-	// (nil when the build is untraced; every use is nil-safe).
-	tr *obs.Trace
 
 	mu        sync.Mutex
 	truncated bool

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 
+	"dvicl/internal/engine"
 	"dvicl/internal/gen"
 )
 
@@ -139,7 +140,7 @@ func TestBenchmarkFamilyShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := d.Build(1)
-		tree := Build(g, nil, Options{LeafMaxNodes: 1}) // don't solve, just divide
+		tree := Build(g, nil, Options{Budget: engine.Budget{LeafMaxNodes: 1}}) // don't solve, just divide
 		if s := tree.Stats(); s.Nodes != 1 {
 			t.Fatalf("%s: AutoTree has %d nodes, want root-only", name, s.Nodes)
 		}

@@ -132,7 +132,7 @@ func (s *sched) runTask(t func(*worker), wk *worker) {
 		return
 	}
 	wk.busy = true
-	span := s.rec.StartPhase(obs.PhaseWorkerBusy)
+	span := obs.StartUnder(s.rec, nil, obs.PhaseWorkerBusy)
 	t(wk)
 	span.End()
 	wk.busy = false

@@ -43,7 +43,7 @@ func TestTracedBuildSpanTree(t *testing.T) {
 	if names["refine"] == 0 {
 		t.Fatalf("no refine span under build: %v", names)
 	}
-	if names["divide_i"]+names["divide_s"]+names["leaf_search"]+names["twins"] == 0 {
+	if names["divide_i"]+names["divide_s"]+names["combine_cl"]+names["twins"] == 0 {
 		t.Fatalf("no divide/leaf/twins spans recorded: %v", names)
 	}
 

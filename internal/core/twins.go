@@ -23,11 +23,9 @@ import (
 // whole cells, i.e. removable bicliques).
 func (b *builder) buildSimplified(wk *worker, ts *obs.TraceSpan) (*Node, error) {
 	n := b.t.g.N()
-	twinSpan := b.tr.StartSpan(ts, "twins")
-	detectSpan := b.opt.Obs.StartPhase(obs.PhaseTwins)
+	detect := obs.StartUnder(b.opt.Obs, ts, obs.PhaseTwins)
 	twinsOf := b.wholeClassTwins()
-	detectSpan.End()
-	twinSpan.End()
+	detect.End()
 	mark := wk.ws.Arena.Mark()
 	defer wk.ws.Arena.Release(mark)
 	if len(twinsOf) == 0 {
@@ -46,7 +44,7 @@ func (b *builder) buildSimplified(wk *worker, ts *obs.TraceSpan) (*Node, error) 
 		}
 	}
 	b.opt.Obs.Add(obs.TwinVertsCollapsed, collapsed)
-	twinSpan.SetAttr("collapsed", collapsed)
+	detect.SetAttr("collapsed", collapsed)
 	var kept []int
 	for v := 0; v < n; v++ {
 		if !removed[v] {
@@ -57,11 +55,9 @@ func (b *builder) buildSimplified(wk *worker, ts *obs.TraceSpan) (*Node, error) 
 	if err != nil {
 		return nil, err
 	}
-	expandTrSpan := b.tr.StartSpan(ts, "twins_expand")
-	expandSpan := b.opt.Obs.StartPhase(obs.PhaseTwins)
-	expanded, err := b.expandTwins(root, twinsOf, wk)
-	expandSpan.End()
-	expandTrSpan.End()
+	expand := obs.StartUnder(b.opt.Obs, ts, obs.PhaseTwins)
+	expanded, err := b.expandTwins(root, twinsOf, wk, expand.TraceSpan())
+	expand.End()
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +74,7 @@ func (b *builder) buildSimplified(wk *worker, ts *obs.TraceSpan) (*Node, error) 
 	wrapper.desc = wk.slab.bytesCopy(d.buf)
 	wk.ws.Bytes = d.buf[:0]
 	wrapper.Children = expanded
-	b.combineST(wrapper, wk)
+	b.combineST(wrapper, wk, ts)
 	return wrapper, nil
 }
 
@@ -128,8 +124,9 @@ func sameNeighbors(a, b []int) bool {
 // expandTwins restores collapsed twin classes: a singleton leaf holding a
 // representative becomes that leaf plus one sibling singleton leaf per
 // twin; internal nodes re-run CombineST over the widened child list so
-// Verts, γg and certificates stay consistent.
-func (b *builder) expandTwins(nd *Node, twinsOf map[int][]int, wk *worker) ([]*Node, error) {
+// Verts, γg and certificates stay consistent. ts is the twins span those
+// CombineST runs nest under.
+func (b *builder) expandTwins(nd *Node, twinsOf map[int][]int, wk *worker, ts *obs.TraceSpan) ([]*Node, error) {
 	switch nd.Kind {
 	case KindSingleton:
 		twins, ok := twinsOf[nd.Verts[0]]
@@ -159,7 +156,7 @@ func (b *builder) expandTwins(nd *Node, twinsOf map[int][]int, wk *worker) ([]*N
 	default:
 		var children []*Node
 		for _, c := range nd.Children {
-			sub, err := b.expandTwins(c, twinsOf, wk)
+			sub, err := b.expandTwins(c, twinsOf, wk, ts)
 			if err != nil {
 				return nil, err
 			}
@@ -169,7 +166,7 @@ func (b *builder) expandTwins(nd *Node, twinsOf map[int][]int, wk *worker) ([]*N
 		// Re-run CombineST unconditionally: any expansion in the subtree
 		// changed child certificates, so the sort, γg and certificate must
 		// be recomputed.
-		b.combineST(nd, wk)
+		b.combineST(nd, wk, ts)
 		return []*Node{nd}, nil
 	}
 }

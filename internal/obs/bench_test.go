@@ -17,6 +17,7 @@ func TestNilInstrumentationAllocFree(t *testing.T) {
 	var tr *Trace
 	var span *TraceSpan
 	ctx := context.Background()
+	live := New() // an enabled recorder on an untraced ctx times without allocating
 
 	cases := []struct {
 		name string
@@ -25,7 +26,18 @@ func TestNilInstrumentationAllocFree(t *testing.T) {
 		{"Recorder.Inc", func() { r.Inc(SearchNodes) }},
 		{"Recorder.Add", func() { r.Add(SearchLeaves, 3) }},
 		{"Recorder.ObservePhase", func() { r.ObservePhase(PhaseBuild, time.Millisecond) }},
-		{"Recorder.StartPhase+End", func() { r.StartPhase(PhaseRefine).End() }},
+		{"StartUnder+End", func() { StartUnder(r, nil, PhaseRefine).End() }},
+		{"Start+End", func() {
+			_, rec, sp := Start(ctx, r, PhaseRefine)
+			rec.Inc(SearchNodes)
+			sp.SetAttr("k", 1)
+			sp.End()
+		}},
+		{"StartEnabled+End", func() {
+			_, _, sp := Start(ctx, live, PhaseRefine)
+			sp.End()
+		}},
+		{"RecorderFor", func() { _ = RecorderFor(ctx, r) }},
 		{"Recorder.Merge", func() { r.Merge(nil) }},
 		{"Trace.StartSpan", func() { _ = tr.StartSpan(nil, "x") }},
 		{"Trace.Recorder", func() { _ = tr.Recorder() }},
@@ -54,11 +66,21 @@ func BenchmarkNilRecorderInc(b *testing.B) {
 	}
 }
 
-func BenchmarkNilRecorderStartPhase(b *testing.B) {
+func BenchmarkNilStartUnder(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.StartPhase(PhaseBuild).End()
+		StartUnder(r, nil, PhaseBuild).End()
+	}
+}
+
+func BenchmarkUntracedStart(b *testing.B) {
+	ctx := context.Background()
+	var r *Recorder
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _, sp := Start(ctx, r, PhaseBuild)
+		sp.End()
 	}
 }
 

@@ -369,31 +369,6 @@ func (r *Recorder) observeNs(p Phase, ns int64) {
 	}
 }
 
-// Span is an in-flight phase timing started by StartPhase. The zero Span
-// (and any Span from a nil Recorder) is a no-op.
-type Span struct {
-	r     *Recorder
-	phase Phase
-	start time.Time
-}
-
-// StartPhase begins timing a span of phase p. On a nil Recorder it
-// returns a no-op Span without reading the clock.
-func (r *Recorder) StartPhase(p Phase) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{r: r, phase: p, start: time.Now()}
-}
-
-// End finishes the span and records its duration.
-func (s Span) End() {
-	if s.r == nil {
-		return
-	}
-	s.r.observeNs(s.phase, int64(time.Since(s.start)))
-}
-
 // Merge folds every counter and timer of src into r (and into r's
 // forwarding chain). It is how the bulk pipeline aggregates per-worker
 // recorders on completion: each worker records into a private Recorder

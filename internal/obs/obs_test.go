@@ -16,7 +16,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Inc(SearchNodes)
 	r.Add(SearchLeaves, 5)
 	r.ObservePhase(PhaseBuild, time.Millisecond)
-	r.StartPhase(PhaseRefine).End()
+	StartUnder(r, nil, PhaseRefine).End()
 	r.Reset()
 	if got := r.Counter(SearchNodes); got != 0 {
 		t.Fatalf("nil Counter = %d, want 0", got)
@@ -209,7 +209,7 @@ func TestTimerBucketsCoverExtremes(t *testing.T) {
 func ExampleRecorder() {
 	r := New()
 	r.Inc(DivideICalls)
-	sp := r.StartPhase(PhaseDivideI)
+	sp := StartUnder(r, nil, PhaseDivideI)
 	sp.End()
 	fmt.Println(r.Counter(DivideICalls))
 	// Output: 1

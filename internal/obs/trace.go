@@ -8,23 +8,25 @@ import (
 )
 
 // Trace is the request-scoped observability unit: a hierarchical span
-// tree (build → refine/twins/divide/combine → leaf searches) plus a
-// private forwarding Recorder whose contents are exactly this request's
-// counter deltas and phase timings. The global Recorder answers "what is
-// the process doing"; a Trace answers the operator's next question,
-// "which request burned the budget, and in which phase".
+// tree (build → refine/twins/divide_i/divide_s → combine_cl/combine_st)
+// plus a private forwarding Recorder whose contents are exactly this
+// request's counter deltas and phase timings. The global Recorder answers
+// "what is the process doing"; a Trace answers the operator's next
+// question, "which request burned the budget, and in which phase".
 //
 // A Trace travels in a context.Context (WithTrace/TraceFrom) alongside
-// the current parent span (WithSpan/SpanFrom); instrumented layers pull
-// it out at their entry points and thread explicit *TraceSpan parents
-// through their own recursion. A nil *Trace is a valid disabled trace —
-// every method no-ops (StartSpan returns a nil *TraceSpan, itself a
-// valid no-op span), so instrumentation costs one predictable nil check
-// when tracing is off and allocates nothing.
+// the current parent span (WithSpan/SpanFrom). Instrumented layers open
+// no trace spans themselves: a phase Span (Start at ctx entry points,
+// StartUnder along explicit *TraceSpan parents through their recursion)
+// opens one named after its phase. A nil *Trace is a valid disabled
+// trace — every method no-ops (StartSpan returns a nil *TraceSpan,
+// itself a valid no-op span), so instrumentation costs one predictable
+// nil check when tracing is off and allocates nothing.
 //
-// The span tree is bounded: once maxSpans spans exist, further StartSpan
-// calls return nil and are counted as dropped, so a pathological build
-// (millions of tree nodes) cannot balloon a request record.
+// The span tree is bounded: once maxSpans spans exist, further spans are
+// refused (nil) and counted as dropped — their would-be descendants are
+// then untraced and not counted — so a pathological build (millions of
+// tree nodes) cannot balloon a request record.
 //
 // Concurrency: a Trace is safe for concurrent use — parallel subtree
 // builders attach spans to the same parent. Span attachment and
@@ -107,7 +109,12 @@ func (t *Trace) StartSpan(parent *TraceSpan, name string) *TraceSpan {
 	if t == nil {
 		return nil
 	}
-	now := time.Now()
+	return t.startSpanAt(parent, name, time.Now())
+}
+
+// startSpanAt is StartSpan on a non-nil trace with the start time read
+// by the caller (a phase Span shares it with its timer).
+func (t *Trace) startSpanAt(parent *TraceSpan, name string, now time.Time) *TraceSpan {
 	t.mu.Lock()
 	if t.spans >= t.maxSpans {
 		t.dropped++
@@ -157,7 +164,14 @@ func (s *TraceSpan) End() {
 	if s == nil {
 		return
 	}
-	d := int64(time.Since(s.start))
+	s.endNs(int64(time.Since(s.start)))
+}
+
+// endNs closes the span with duration d (nil-safe).
+func (s *TraceSpan) endNs(d int64) {
+	if s == nil {
+		return
+	}
 	if d < 1 {
 		d = 1 // 0 is reserved for "still running"
 	}

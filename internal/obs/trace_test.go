@@ -14,7 +14,7 @@ func TestTraceSpanTree(t *testing.T) {
 	build.SetAttr("n", 100)
 	refine := build.Child("refine")
 	refine.End()
-	leaf := build.Child("leaf_search")
+	leaf := build.Child("combine_cl")
 	leaf.SetAttr("size", 40)
 	leaf.SetAttr("size", 42) // overwrite, not duplicate
 	leaf.End()
@@ -36,8 +36,8 @@ func TestTraceSpanTree(t *testing.T) {
 	if b.Attrs["n"] != 100 {
 		t.Fatalf("build attrs = %v, want n=100", b.Attrs)
 	}
-	if len(b.Children) != 2 || b.Children[0].Name != "refine" || b.Children[1].Name != "leaf_search" {
-		t.Fatalf("build children = %+v, want [refine leaf_search]", b.Children)
+	if len(b.Children) != 2 || b.Children[0].Name != "refine" || b.Children[1].Name != "combine_cl" {
+		t.Fatalf("build children = %+v, want [refine combine_cl]", b.Children)
 	}
 	if got := b.Children[1].Attrs["size"]; got != 42 {
 		t.Fatalf("leaf size attr = %d, want 42 (overwritten)", got)
@@ -207,7 +207,7 @@ func TestTraceConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s := parent.Child("leaf_search")
+				s := parent.Child("combine_cl")
 				s.SetAttr("size", int64(i))
 				tr.Recorder().Inc(SearchNodes)
 				s.End()
@@ -226,5 +226,63 @@ func TestTraceConcurrent(t *testing.T) {
 	total := len(snap.Spans.Children[0].Children) + int(snap.DroppedSpans)
 	if total != 8*200 {
 		t.Fatalf("children + dropped = %d, want %d", total, 8*200)
+	}
+}
+
+// TestPhaseSpanFeedsBoth pins the one-call contract: a phase Span times
+// the phase and, when traced, opens a span named after it with the same
+// duration — one clock read at each end feeds both.
+func TestPhaseSpanFeedsBoth(t *testing.T) {
+	base := New()
+	tr := NewTrace("both", base)
+	ctx := WithTrace(context.Background(), tr)
+
+	ctx2, rec, sp := Start(ctx, base, PhaseIndexAdd)
+	if rec != tr.Recorder() {
+		t.Fatal("traced Start must resolve the trace's recorder")
+	}
+	if SpanFrom(ctx2) != sp.TraceSpan() || sp.TraceSpan() == nil {
+		t.Fatal("traced Start must return a ctx carrying its span")
+	}
+	child := StartUnder(rec, sp.TraceSpan(), PhaseBuild)
+	child.SetAttr("n", 5)
+	child.End()
+	sp.End()
+	untimed := StartUnder(rec, nil, PhaseWALAppend)
+	untimed.End()
+
+	snap := tr.Snapshot()
+	add := snap.Spans.Children[0]
+	if add.Name != "index_add" || len(add.Children) != 1 || add.Children[0].Name != "build" {
+		t.Fatalf("span tree = %+v, want request → index_add → build", snap.Spans)
+	}
+	if add.Children[0].Attrs["n"] != 5 {
+		t.Fatalf("build attrs = %v, want n=5", add.Children[0].Attrs)
+	}
+	for _, c := range []struct {
+		phase string
+		span  SpanSnapshot
+	}{{"index_add", add}, {"build", add.Children[0]}} {
+		ps := snap.Phases[c.phase]
+		if ps.Count != 1 || ps.TotalNs != c.span.DurNs && !(ps.TotalNs == 0 && c.span.DurNs == 1) {
+			t.Fatalf("%s: phase %+v, span dur %d — want one observation of the span's duration", c.phase, ps, c.span.DurNs)
+		}
+	}
+	if snap.Phases["wal_append"].Count != 1 || len(snap.Spans.Children) != 1 {
+		t.Fatal("a nil-parent span must time its phase without opening a trace span")
+	}
+	if base.Snapshot().Phases["index_add"].Count != 1 {
+		t.Fatal("the trace's base recorder missed the phase")
+	}
+
+	// Untraced: ctx comes back unchanged and the base recorder is used.
+	plain := context.Background()
+	got, rec2, sp2 := Start(plain, base, PhaseIndexAdd)
+	sp2.End()
+	if got != plain || rec2 != base || sp2.TraceSpan() != nil {
+		t.Fatal("untraced Start must return ctx and base unchanged, with no trace span")
+	}
+	if RecorderFor(ctx, base) != tr.Recorder() || RecorderFor(plain, base) != base {
+		t.Fatal("RecorderFor must prefer the trace's recorder")
 	}
 }

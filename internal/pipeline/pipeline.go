@@ -149,18 +149,10 @@ func Run(cfg Config, src Source) (*Report, error) {
 	// serialize on the trace mutex, so per-record effort flows through the
 	// private worker recorders (Merge forwards the deltas to the trace's
 	// recorder when cfg.Obs is one) instead of spans.
-	tr := obs.TraceFrom(ctx)
-	ts := tr.StartSpan(obs.SpanFrom(ctx), "bulk_ingest")
-	defer ts.End()
-	if tr != nil {
-		// Same redirect as core.BuildCtx: cfg.Obs should be the trace's
-		// base recorder, so recording through the trace keeps per-request
-		// deltas while the base still sees every increment once.
-		cfg.Obs = tr.Recorder()
-		ctx = obs.DetachTrace(ctx)
-	}
-	span := cfg.Obs.StartPhase(obs.PhaseBulkIngest)
+	_, rec, span := obs.Start(ctx, cfg.Obs, obs.PhaseBulkIngest)
 	defer span.End()
+	cfg.Obs = rec
+	ctx = obs.DetachTrace(ctx)
 	start := time.Now()
 
 	feed := make(chan record, queue)
@@ -286,9 +278,9 @@ func Run(cfg Config, src Source) (*Report, error) {
 	for _, rec := range workerRecs {
 		cfg.Obs.Merge(rec)
 	}
-	ts.SetAttr("records", report.Records)
-	ts.SetAttr("applied", report.Applied)
-	ts.SetAttr("decode_errors", report.DecodeErrors)
+	span.SetAttr("records", report.Records)
+	span.SetAttr("applied", report.Applied)
+	span.SetAttr("decode_errors", report.DecodeErrors)
 
 	report.ElapsedSeconds = time.Since(start).Seconds()
 	if report.ElapsedSeconds > 0 {

@@ -125,8 +125,7 @@ func intsKey(xs []int) string {
 // and for cross-validation; results are identical.
 func (ix *Index) EnumerateSM(s []int, limit int) [][]int {
 	ix.rec.Inc(obs.SSMQueries)
-	span := ix.rec.StartPhase(obs.PhaseSSMQuery)
-	defer span.End()
+	defer obs.StartUnder(ix.rec, nil, obs.PhaseSSMQuery).End()
 	pattern := sortedCopy(s)
 	ix.useSM = true
 	defer func() { ix.useSM = false }()

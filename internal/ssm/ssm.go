@@ -55,6 +55,9 @@ func (ix *Index) workspace(n int) *engine.Workspace {
 // SetRecorder attaches an observability recorder: every subsequent query
 // reports obs.SSMQueries, an obs.PhaseSSMQuery span, and the
 // obs.SSMLeafCandidates / obs.SSMLeafPruned counters. Pass nil to detach.
+// A *Ctx query whose context carries a trace records its count and phase
+// through the trace's recorder (obs.Start), which forwards to r when the
+// trace was created over r.
 func (ix *Index) SetRecorder(r *obs.Recorder) { ix.rec = r }
 
 // nodeInfo caches per-node lookup structures: queries over graphs with
@@ -144,12 +147,10 @@ func (ix *Index) CountImages(s []int) *big.Int {
 // polls ctx at every tree node and returns engine.ErrCanceled when it
 // fires mid-query.
 func (ix *Index) CountImagesCtx(ctx context.Context, s []int) (*big.Int, error) {
-	ix.rec.Inc(obs.SSMQueries)
-	span := ix.rec.StartPhase(obs.PhaseSSMQuery)
+	_, rec, span := obs.Start(ctx, ix.rec, obs.PhaseSSMQuery)
 	defer span.End()
-	ts := obs.TraceFrom(ctx).StartSpan(obs.SpanFrom(ctx), "ssm_count")
-	ts.SetAttr("pattern", int64(len(s)))
-	defer ts.End()
+	rec.Inc(obs.SSMQueries)
+	span.SetAttr("pattern", int64(len(s)))
 	pattern := sortedCopy(s)
 	return ix.countNode(engine.NewCtl(ctx, engine.Budget{}), ix.tree.Root, pattern)
 }
@@ -170,12 +171,10 @@ func (ix *Index) Enumerate(s []int, limit int) [][]int {
 // and returns engine.ErrCanceled when it fires, so an astronomically
 // large orbit cannot pin a serving goroutine.
 func (ix *Index) EnumerateCtx(ctx context.Context, s []int, limit int) ([][]int, error) {
-	ix.rec.Inc(obs.SSMQueries)
-	span := ix.rec.StartPhase(obs.PhaseSSMQuery)
+	_, rec, span := obs.Start(ctx, ix.rec, obs.PhaseSSMQuery)
 	defer span.End()
-	ts := obs.TraceFrom(ctx).StartSpan(obs.SpanFrom(ctx), "ssm_enumerate")
-	ts.SetAttr("pattern", int64(len(s)))
-	defer ts.End()
+	rec.Inc(obs.SSMQueries)
+	span.SetAttr("pattern", int64(len(s)))
 	pattern := sortedCopy(s)
 	return ix.enumNode(engine.NewCtl(ctx, engine.Budget{}), ix.tree.Root, pattern, limit)
 }
@@ -195,12 +194,10 @@ func (ix *Index) PatternKey(s []int) string {
 // canonical-labeling search, so keys of patterns touching hard leaves
 // are cancelable too.
 func (ix *Index) PatternKeyCtx(ctx context.Context, s []int) (string, error) {
-	ix.rec.Inc(obs.SSMQueries)
-	span := ix.rec.StartPhase(obs.PhaseSSMQuery)
+	_, rec, span := obs.Start(ctx, ix.rec, obs.PhaseSSMQuery)
 	defer span.End()
-	ts := obs.TraceFrom(ctx).StartSpan(obs.SpanFrom(ctx), "ssm_key")
-	ts.SetAttr("pattern", int64(len(s)))
-	defer ts.End()
+	rec.Inc(obs.SSMQueries)
+	span.SetAttr("pattern", int64(len(s)))
 	pattern := sortedCopy(s)
 	key, err := ix.keyNode(engine.NewCtl(ctx, engine.Budget{}), ix.tree.Root, pattern)
 	if err != nil {
@@ -687,12 +684,6 @@ func (ix *Index) WitnessAutomorphism(s1, s2 []int, maxOrbit int) (perm.Perm, boo
 // orbit BFS polls ctx at every step, so an unbounded (maxOrbit = 0)
 // witness search over a huge orbit can still be stopped by the caller.
 func (ix *Index) WitnessAutomorphismCtx(ctx context.Context, s1, s2 []int, maxOrbit int) (perm.Perm, bool, error) {
-	ts := obs.TraceFrom(ctx).StartSpan(obs.SpanFrom(ctx), "ssm_witness")
-	ts.SetAttr("pattern", int64(len(s1)))
-	defer ts.End()
-	if ts != nil {
-		ctx = obs.WithSpan(ctx, ts) // nest the PatternKeyCtx spans below
-	}
 	ctl := engine.NewCtl(ctx, engine.Budget{})
 	a := sortedCopy(s1)
 	b := sortedCopy(s2)

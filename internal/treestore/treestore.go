@@ -143,15 +143,6 @@ func Open(dir string, opt Options) (*Store, error) {
 	}, nil
 }
 
-// recorderFor resolves the recorder for one operation: the context
-// trace's forwarding recorder when present, the store's own otherwise.
-func (s *Store) recorderFor(ctx context.Context) *obs.Recorder {
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		return tr.Recorder()
-	}
-	return s.opt.Obs
-}
-
 // Get returns the AutoTree of the canonical graph the certificate
 // describes, from the first level that has it: the decoded-tree LRU,
 // the on-disk record, or a fresh DviCL rebuild (which is then persisted
@@ -162,7 +153,7 @@ func (s *Store) recorderFor(ctx context.Context) *obs.Recorder {
 // AutOrder, Quotient and fresh ssm.Index queries on it are safe
 // concurrently.
 func (s *Store) Get(ctx context.Context, cert []byte) (*core.Tree, error) {
-	rec := s.recorderFor(ctx)
+	rec := obs.RecorderFor(ctx, s.opt.Obs)
 	key := sha256.Sum256(cert)
 
 	s.mu.Lock()
@@ -242,7 +233,7 @@ func (s *Store) loadOrRebuild(ctx context.Context, rec *obs.Recorder, key [32]by
 		return nil, 0, engine.Internalf("treestore", "encode rebuilt tree: %v", err)
 	}
 	if s.dir != "" {
-		span := rec.StartPhase(obs.PhaseTreePersist)
+		span := obs.StartUnder(rec, nil, obs.PhaseTreePersist)
 		perr := s.writeRecord(key, buf.Bytes())
 		span.End()
 		if perr == nil {
@@ -267,7 +258,7 @@ func (s *Store) loadDisk(rec *obs.Recorder, key [32]byte, g *graph.Graph) (*core
 		}
 		return nil, 0, false
 	}
-	span := rec.StartPhase(obs.PhaseTreeLoad)
+	span := obs.StartUnder(rec, nil, obs.PhaseTreeLoad)
 	payload, derr := decodeRecord(data)
 	var tree *core.Tree
 	if derr == nil {
@@ -305,10 +296,7 @@ func warm(t *core.Tree) {
 // symmetry queries without a treestore (the degraded path) use it; the
 // rebuild is counted on opt.Obs or the context trace.
 func Rebuild(ctx context.Context, cert []byte, opt core.Options) (*core.Tree, error) {
-	rec := opt.Obs
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		rec = tr.Recorder()
-	}
+	rec := obs.RecorderFor(ctx, opt.Obs)
 	g, _, err := canon.DecodeCertificate(cert)
 	if err != nil {
 		return nil, err

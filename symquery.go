@@ -64,29 +64,20 @@ func (ix *GraphIndex) treeByID(ctx context.Context, id int) (*AutoTree, error) {
 	return treestore.Rebuild(ctx, []byte(cert), ix.opt)
 }
 
-// symQuery wraps the shared per-query bookkeeping: counter, phase timer,
-// trace span, and tree resolution. The returned done func ends the span
-// and phase; it is non-nil exactly when err is nil.
-func (ix *GraphIndex) symQuery(ctx context.Context, id int, c obs.Counter, name string) (*AutoTree, *MetricsRecorder, func(), error) {
-	rec := ix.recorderFor(ctx)
+// symQuery wraps the shared per-query bookkeeping: counter, phase span
+// and tree resolution. The returned ctx carries the span for nested
+// work. The caller ends the span; it is already ended when err is
+// non-nil.
+func (ix *GraphIndex) symQuery(ctx context.Context, id int, c obs.Counter) (context.Context, *AutoTree, obs.Span, error) {
+	ctx, rec, span := obs.Start(ctx, ix.opt.Obs, obs.PhaseSymmetryQuery)
 	rec.Inc(c)
-	span := rec.StartPhase(obs.PhaseSymmetryQuery)
-	ts := obs.TraceFrom(ctx).StartSpan(obs.SpanFrom(ctx), name)
-	if ts != nil {
-		ts.SetAttr("graph_id", int64(id))
-		ctx = obs.WithSpan(ctx, ts)
-	}
+	span.SetAttr("graph_id", int64(id))
 	tree, err := ix.treeByID(ctx, id)
 	if err != nil {
-		ts.End()
 		span.End()
-		return nil, nil, nil, err
+		return ctx, nil, obs.Span{}, err
 	}
-	done := func() {
-		ts.End()
-		span.End()
-	}
-	return tree, rec, done, nil
+	return ctx, tree, span, nil
 }
 
 // OrbitsCtx returns the orbit partition of the canonical graph of id's
@@ -94,11 +85,11 @@ func (ix *GraphIndex) symQuery(ctx context.Context, id int, c obs.Counter, name 
 // the warm path performs zero DviCL builds (the tree is served from the
 // decoded-tree cache or from disk).
 func (ix *GraphIndex) OrbitsCtx(ctx context.Context, id int) ([][]int, error) {
-	tree, _, done, err := ix.symQuery(ctx, id, obs.SymmetryQueryOrbits, "symquery_orbits")
+	_, tree, span, err := ix.symQuery(ctx, id, obs.SymmetryQueryOrbits)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
+	defer span.End()
 	return tree.Orbits(), nil
 }
 
@@ -107,22 +98,22 @@ func (ix *GraphIndex) OrbitsCtx(ctx context.Context, id int) ([][]int, error) {
 // (moved-points) form. The generators alias the stored tree — treat them
 // as read-only.
 func (ix *GraphIndex) AutGroupCtx(ctx context.Context, id int) (order *big.Int, gens []SparsePerm, err error) {
-	tree, _, done, err := ix.symQuery(ctx, id, obs.SymmetryQueryAutGroup, "symquery_autgroup")
+	_, tree, span, err := ix.symQuery(ctx, id, obs.SymmetryQueryAutGroup)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer done()
+	defer span.End()
 	return tree.AutOrder(), append([]SparsePerm(nil), tree.SparseGenerators()...), nil
 }
 
 // QuotientCtx returns the orbit-quotient graph of the canonical graph of
 // id's isomorphism class (the paper's network-quotient application).
 func (ix *GraphIndex) QuotientCtx(ctx context.Context, id int) (QuotientResult, error) {
-	tree, _, done, err := ix.symQuery(ctx, id, obs.SymmetryQueryQuotient, "symquery_quotient")
+	_, tree, span, err := ix.symQuery(ctx, id, obs.SymmetryQueryQuotient)
 	if err != nil {
 		return QuotientResult{}, err
 	}
-	defer done()
+	defer span.End()
 	return tree.Quotient(), nil
 }
 
@@ -132,11 +123,11 @@ func (ix *GraphIndex) QuotientCtx(ctx context.Context, id int) (QuotientResult, 
 // the images themselves. Pattern vertices are canonical-graph ids, must
 // be in range and duplicate-free (ErrInvalidPattern otherwise).
 func (ix *GraphIndex) SSMCtx(ctx context.Context, id int, pattern []int, limit int) (count *big.Int, images [][]int, err error) {
-	tree, rec, done, err := ix.symQuery(ctx, id, obs.SymmetryQuerySSM, "symquery_ssm")
+	ctx, tree, span, err := ix.symQuery(ctx, id, obs.SymmetryQuerySSM)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer done()
+	defer span.End()
 	n := tree.Graph().N()
 	seen := make(map[int]bool, len(pattern))
 	for _, v := range pattern {
@@ -151,7 +142,7 @@ func (ix *GraphIndex) SSMCtx(ctx context.Context, id int, pattern []int, limit i
 	// The SSM index lazily memoizes per-node metadata, so each request
 	// gets a fresh one; the shared tree underneath is read-only.
 	sx := ssm.NewIndex(tree)
-	sx.SetRecorder(rec)
+	sx.SetRecorder(obs.RecorderFor(ctx, ix.opt.Obs))
 	count, err = sx.CountImagesCtx(ctx, pattern)
 	if err != nil {
 		return nil, nil, err
