@@ -300,7 +300,7 @@ func (ix *GraphIndex) initTreeStores(root string, topt treestore.Options) error 
 func (ix *GraphIndex) persistWorker() {
 	defer ix.tsWorkerWG.Done()
 	for req := range ix.tsPersist {
-		_ = req.ts.Ensure(context.Background(), []byte(req.cert))
+		_, _ = req.ts.Get(context.Background(), []byte(req.cert))
 		ix.tsPending.Done()
 	}
 }

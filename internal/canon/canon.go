@@ -71,11 +71,6 @@ type Options struct {
 	// Deadline, when non-zero, aborts the search at the given wall-clock
 	// time — the benchmark harness's equivalent of the paper's timeout.
 	Deadline time.Time
-	// AutomorphismsOnly skips the canonical-form bookkeeping and explores
-	// only subtrees that can yield automorphisms against the first leaf —
-	// the mode of the paper's saucy [9], which "only finds graph
-	// symmetries". Result.Canon/Cert are then unspecified.
-	AutomorphismsOnly bool
 	// Obs, when non-nil, receives the search-effort counters (nodes,
 	// leaves, prunings, automorphisms, backjumps, truncations) and the
 	// refinement counters of every Refine the search performs. Search
@@ -453,12 +448,6 @@ func (o *orbitPruner) markExplored(v int) {
 // cannot lead to the canonical leaf, however small its trace is here.
 func (s *search) keepChild(t uint64, level int) bool {
 	matchFirst := s.first != nil && level < len(s.first.trace) && s.first.trace[level] == t
-	if s.opt.AutomorphismsOnly && s.first != nil {
-		if !matchFirst {
-			s.pruneFirst++
-		}
-		return matchFirst
-	}
 	if s.best == nil {
 		return true
 	}
@@ -679,8 +668,10 @@ func EncodeCertificate(g *graph.Graph, gamma perm.Perm, rootCells []int) []byte 
 	return buf
 }
 
+// sortUint64 sorts certificate edge keys. It stays hand-rolled: with
+// slices.Sort, EncodeCertificate ran 5–14% slower on the cfi, grid-w,
+// had and pg2 benchmark graphs (go1.24, 2-vCPU x86-64 VM).
 func sortUint64(a []uint64) {
-	// Standard library sort without the interface overhead.
 	if len(a) < 2 {
 		return
 	}

@@ -140,23 +140,3 @@ func TestCanonicalIdempotent(t *testing.T) {
 		}
 	}
 }
-
-// TestAutomorphismsOnlyMode: the saucy-style mode must find the same
-// group while visiting no more nodes than the full search.
-func TestAutomorphismsOnlyMode(t *testing.T) {
-	r := rand.New(rand.NewSource(115))
-	for trial := 0; trial < 20; trial++ {
-		g := randGraph(r, 4+r.Intn(12), 2)
-		full := Canonical(g, nil, Options{})
-		auto := Canonical(g, nil, Options{AutomorphismsOnly: true})
-		wantOrder := group.New(g.N(), full.Generators).Order()
-		gotOrder := group.New(g.N(), auto.Generators).Order()
-		if wantOrder.Cmp(gotOrder) != 0 {
-			t.Fatalf("automorphisms-only group %v != full %v (edges=%v)",
-				gotOrder, wantOrder, g.Edges())
-		}
-		if auto.Nodes > full.Nodes {
-			t.Fatalf("automorphisms-only visited more nodes (%d > %d)", auto.Nodes, full.Nodes)
-		}
-	}
-}

@@ -51,25 +51,17 @@ func (c *Coloring) Refine(g *graph.Graph, active []int) uint64 {
 	return h
 }
 
-// RefineObserved is Refine reporting into rec (which may be nil):
-// obs.RefineCalls (one trace hash per call), obs.RefineRounds (splitter
-// cells processed) and obs.CellSplits (new cell fragments created by
-// splitting). Counts are accumulated in locals and flushed once at the
-// end, so the refinement loop itself carries no atomic traffic.
-func (c *Coloring) RefineObserved(g *graph.Graph, active []int, rec *obs.Recorder) uint64 {
-	w := engine.GetWorkspace(c.N())
-	h, _ := c.RefineWS(g, active, w, nil, rec)
-	engine.PutWorkspace(w)
-	return h
-}
-
 // RefineWS is the full-control refinement entry: it runs in the caller's
 // workspace (allocation-free in steady state), polls ctl between rounds,
-// and reports into rec. Any of w's buffers may be grown and retained in
-// w. On cancellation it returns ctl's error with the coloring in a
-// valid (merely under-refined) state and w's invariants restored; the
-// partial trace hash must not be used. ctl and rec may be nil; w must
-// not be shared with a concurrent refinement.
+// and reports into rec: obs.RefineCalls (one trace hash per call),
+// obs.RefineRounds (splitter cells processed) and obs.CellSplits (new
+// cell fragments created by splitting). Counts are accumulated in locals
+// and flushed once at the end, so the refinement loop itself carries no
+// atomic traffic. Any of w's buffers may be grown and retained in w. On
+// cancellation it returns ctl's error with the coloring in a valid
+// (merely under-refined) state and w's invariants restored; the partial
+// trace hash must not be used. ctl and rec may be nil; w must not be
+// shared with a concurrent refinement.
 func (c *Coloring) RefineWS(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, rec *obs.Recorder) (uint64, error) {
 	h, rounds, splits, err := c.refineWS(g, active, w, ctl)
 	rec.Inc(obs.RefineCalls)

@@ -3,13 +3,26 @@ package coloring
 import (
 	"testing"
 
+	"dvicl/internal/engine"
 	"dvicl/internal/graph"
 	"dvicl/internal/obs"
 )
 
-// TestRefineObservedMatchesRefine: the instrumented entry point must
-// produce the same trace and final coloring as the plain one, and report
-// the work it did.
+// refineInWorkspace runs RefineWS with a recorder in a pooled workspace.
+func refineInWorkspace(t *testing.T, c *Coloring, g *graph.Graph, rec *obs.Recorder) uint64 {
+	t.Helper()
+	w := engine.GetWorkspace(c.N())
+	defer engine.PutWorkspace(w)
+	h, err := c.RefineWS(g, nil, w, nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestRefineObservedMatchesRefine: the instrumented entry point (RefineWS
+// with a recorder) must produce the same trace and final coloring as the
+// plain one, and report the work it did.
 func TestRefineObservedMatchesRefine(t *testing.T) {
 	// A path P5 refines the unit coloring to discrete-ish cells.
 	g := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
@@ -19,7 +32,7 @@ func TestRefineObservedMatchesRefine(t *testing.T) {
 
 	rec := obs.New()
 	observed := Unit(5)
-	h2 := observed.RefineObserved(g, nil, rec)
+	h2 := refineInWorkspace(t, observed, g, rec)
 
 	if h1 != h2 {
 		t.Fatalf("traces differ: %#x vs %#x", h1, h2)
@@ -40,7 +53,7 @@ func TestRefineObservedMatchesRefine(t *testing.T) {
 
 	// A nil recorder is fine too.
 	again := Unit(5)
-	if h3 := again.RefineObserved(g, nil, nil); h3 != h1 {
+	if h3 := refineInWorkspace(t, again, g, nil); h3 != h1 {
 		t.Fatalf("nil-recorder trace differs: %#x vs %#x", h3, h1)
 	}
 }
@@ -51,7 +64,7 @@ func TestRefineObservedNoSplit(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}) // C4, regular
 	rec := obs.New()
 	c := Unit(4)
-	c.RefineObserved(g, nil, rec)
+	refineInWorkspace(t, c, g, rec)
 	if got := rec.Counter(obs.CellSplits); got != 0 {
 		t.Fatalf("cell_splits = %d on a regular graph, want 0", got)
 	}

@@ -200,8 +200,6 @@ type Tree struct {
 
 	g      *graph.Graph
 	colors []int // global equitable colors π(v)
-	leafOf []int // vertex -> index into leaves
-	leaves []*Node
 }
 
 // Graph returns the graph the tree was built for.
@@ -224,9 +222,6 @@ func (t *Tree) SparseGenerators() []perm.Sparse { return t.sparseGens }
 
 // Colors returns the global equitable coloring values π(v).
 func (t *Tree) Colors() []int { return t.colors }
-
-// LeafOf returns the leaf node containing vertex v.
-func (t *Tree) LeafOf(v int) *Node { return t.leaves[t.leafOf[v]] }
 
 // Build runs DviCL (Algorithm 1) on the colored graph (g, pi) and returns
 // its AutoTree. pi may be nil for the unit coloring; it is not modified.
@@ -285,7 +280,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 	for v := 0; v < n; v++ {
 		colors[v] = pi.Color(v)
 	}
-	t := &Tree{g: g, colors: colors, leafOf: make([]int, n)}
+	t := &Tree{g: g, colors: colors}
 	b := &builder{t: t, opt: opt, ctl: ctl}
 	if opt.Workers > 1 {
 		// The pool outlives the root build call by construction: stop()
@@ -330,30 +325,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 	} else {
 		t.Gamma = perm.Perm{}
 	}
-	t.indexLeaves()
 	return t, nil
-}
-
-// indexLeaves records which leaf holds each vertex (used by SSM).
-func (t *Tree) indexLeaves() {
-	t.leaves = t.leaves[:0]
-	var walk func(nd *Node)
-	walk = func(nd *Node) {
-		if len(nd.Children) == 0 {
-			idx := len(t.leaves)
-			t.leaves = append(t.leaves, nd)
-			for _, v := range nd.Verts {
-				t.leafOf[v] = idx
-			}
-			return
-		}
-		for _, c := range nd.Children {
-			walk(c)
-		}
-	}
-	if t.Root != nil {
-		walk(t.Root)
-	}
 }
 
 // Stats summarizes the AutoTree structure — the columns of Tables 3 and 4 —

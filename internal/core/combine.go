@@ -155,9 +155,6 @@ func (b *builder) buildChild(ref childRef, wk *worker, ts *obs.TraceSpan) (*Node
 func (b *builder) buildChildren(refs []childRef, wk *worker, ts *obs.TraceSpan) ([]*Node, error) {
 	nodes := make([]*Node, len(refs))
 	if b.sched == nil || len(refs) < 2 {
-		if b.sched != nil && len(refs) > 0 {
-			b.opt.Obs.Inc(obs.WorkerInline)
-		}
 		for i, ref := range refs {
 			nd, err := b.buildChild(ref, wk, ts)
 			if err != nil {
@@ -182,7 +179,6 @@ func (b *builder) buildChildren(refs []childRef, wk *worker, ts *obs.TraceSpan) 
 			b.sched.finish(jn, err)
 		}
 	}
-	b.opt.Obs.Add(obs.WorkerSpawns, int64(len(refs)))
 	b.sched.push(wk, tasks)
 	if err := b.sched.joinWait(jn, wk); err != nil {
 		return nil, err
@@ -321,7 +317,7 @@ func leafCert(nd *Node, sg *subgraph, cells [][]int, b *builder, wk *worker) []b
 // inserting children. ts is the trace parent of its combine_st span.
 func (b *builder) combineST(nd *Node, wk *worker, ts *obs.TraceSpan) {
 	defer obs.StartUnder(b.opt.Obs, ts, obs.PhaseCombineST).End()
-	b.sortChildren(nd.Children, wk)
+	slices.SortStableFunc(nd.Children, nodeCertCmp)
 	// Recompute Verts as the union of children (expansion changes it).
 	total := 0
 	for _, c := range nd.Children {
@@ -378,81 +374,6 @@ func (b *builder) combineST(nd *Node, wk *worker, ts *obs.TraceSpan) {
 // nodeCertCmp orders tree nodes by their certificate bytes — the
 // CombineST sibling order.
 func nodeCertCmp(x, y *Node) int { return bytes.Compare(x.Cert, y.Cert) }
-
-const (
-	// parSortMin is the child count at which combineST's certificate sort
-	// fans out to the worker pool; below it a single stable sort wins.
-	// parSortChunk is the run length each task stable-sorts before the
-	// pairwise merge rounds.
-	parSortMin   = 2048
-	parSortChunk = 1024
-)
-
-// sortChildren sorts cs by certificate, stably. High-fanout nodes on a
-// parallel build use the pool: fixed-size chunks are stable-sorted as
-// tasks, then stably merged pairwise (ties take the left run, which
-// preceded the right in the original order) — by uniqueness of the
-// stable permutation, the result is byte-for-byte the permutation
-// slices.SortStableFunc would have produced, at any worker count.
-func (b *builder) sortChildren(cs []*Node, wk *worker) {
-	if b.sched == nil || len(cs) < parSortMin {
-		slices.SortStableFunc(cs, nodeCertCmp)
-		return
-	}
-	nchunks := (len(cs) + parSortChunk - 1) / parSortChunk
-	jn := &join{remaining: nchunks}
-	tasks := make([]func(*worker), nchunks)
-	for c := 0; c < nchunks; c++ {
-		chunk := cs[c*parSortChunk : min((c+1)*parSortChunk, len(cs))]
-		tasks[c] = func(*worker) {
-			slices.SortStableFunc(chunk, nodeCertCmp)
-			b.sched.finish(jn, nil)
-		}
-	}
-	b.sched.push(wk, tasks)
-	b.sched.joinWait(jn, wk) // sort tasks cannot fail
-
-	tmp := make([]*Node, len(cs))
-	src, dst := cs, tmp
-	for width := parSortChunk; width < len(cs); width *= 2 {
-		jn := &join{}
-		var tasks []func(*worker)
-		for lo := 0; lo < len(src); lo += 2 * width {
-			mid := min(lo+width, len(src))
-			hi := min(lo+2*width, len(src))
-			s, d := src, dst
-			lo := lo
-			tasks = append(tasks, func(*worker) {
-				mergeRuns(d[lo:hi], s[lo:mid], s[mid:hi])
-				b.sched.finish(jn, nil)
-			})
-		}
-		jn.remaining = len(tasks)
-		b.sched.push(wk, tasks)
-		b.sched.joinWait(jn, wk)
-		src, dst = dst, src
-	}
-	if len(cs) > 0 && &src[0] != &cs[0] {
-		copy(cs, src)
-	}
-}
-
-// mergeRuns stably merges the sorted runs a and b into dst
-// (len(dst) == len(a)+len(b)); equal certificates take from a first.
-func mergeRuns(dst, a, b []*Node) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if nodeCertCmp(a[i], b[j]) <= 0 {
-			dst[i+j] = a[i]
-			i++
-		} else {
-			dst[i+j] = b[j]
-			j++
-		}
-	}
-	copy(dst[i+j:], a[i:])
-	copy(dst[i+j:], b[j:])
-}
 
 // vertsByGamma returns a node's vertices ordered by their canonical label
 // within the node.

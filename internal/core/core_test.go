@@ -9,6 +9,7 @@ import (
 	"dvicl/internal/canon"
 	"dvicl/internal/graph"
 	"dvicl/internal/group"
+	"dvicl/internal/perm"
 )
 
 func cycle(n int) *graph.Graph {
@@ -291,17 +292,6 @@ func TestTreeStructureFig1(t *testing.T) {
 	}
 }
 
-func TestLeafOfCoversAllVertices(t *testing.T) {
-	g := fig1()
-	tree := Build(g, nil, Options{})
-	for v := 0; v < g.N(); v++ {
-		leaf := tree.LeafOf(v)
-		if leaf == nil || leaf.GammaOf(v) < 0 {
-			t.Fatalf("LeafOf(%d) wrong", v)
-		}
-	}
-}
-
 func TestEmptyAndSingleVertex(t *testing.T) {
 	for _, mode := range bothModes {
 		tree := Build(graph.FromEdges(1, nil), nil, mode.opt)
@@ -440,6 +430,29 @@ func TestVerifyOnStructuredGraphs(t *testing.T) {
 		tree := Build(g, nil, Options{})
 		if err := tree.Verify(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestVerifyRejectsNonAutomorphism: Verify must check generators edge by
+// edge, not just the degrees of the points they move. Both injected maps
+// preserve degrees: swapping 0 and 2 on C6 breaks edge {0,5}, and
+// sending 0 to 2 on C4 keeps every edge at 0 but is no permutation.
+func TestVerifyRejectsNonAutomorphism(t *testing.T) {
+	for _, tc := range []struct {
+		g     *graph.Graph
+		moved [][2]int
+	}{
+		{cycle(6), [][2]int{{0, 2}, {2, 0}}},
+		{cycle(4), [][2]int{{0, 2}}},
+	} {
+		tree := Build(tc.g, nil, Options{})
+		if err := tree.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		tree.sparseGens = append(tree.sparseGens, perm.Sparse{N: tc.g.N(), Moved: tc.moved})
+		if err := tree.Verify(); err == nil {
+			t.Fatalf("C%d: generator %v accepted as an automorphism", tc.g.N(), tc.moved)
 		}
 	}
 }

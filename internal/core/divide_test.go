@@ -19,7 +19,7 @@ func newTestBuilder(g *graph.Graph) (*builder, *worker) {
 	for v := 0; v < n; v++ {
 		colors[v] = pi.Color(v)
 	}
-	t := &Tree{g: g, colors: colors, leafOf: make([]int, n)}
+	t := &Tree{g: g, colors: colors}
 	return &builder{t: t}, &worker{ws: engine.GetWorkspace(n)}
 }
 

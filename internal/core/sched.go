@@ -59,9 +59,9 @@ type sched struct {
 	wg sync.WaitGroup
 }
 
-// join tracks one buildChildren (or parallel-sort) barrier: remaining
-// counts unfinished tasks, err holds the first error among them. Both
-// fields are guarded by the scheduler mutex.
+// join tracks one buildChildren barrier: remaining counts unfinished
+// tasks, err holds the first error among them. Both fields are guarded
+// by the scheduler mutex.
 type join struct {
 	remaining int
 	err       error

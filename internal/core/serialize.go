@@ -224,7 +224,7 @@ func Load(r io.Reader, g *graph.Graph) (*Tree, error) {
 		return nil, fmt.Errorf("core: tree was built for a graph with n=%d m=%d, got n=%d m=%d: %w",
 			n, m, g.N(), g.M(), store.ErrChecksum)
 	}
-	t := &Tree{g: g, leafOf: make([]int, g.N())}
+	t := &Tree{g: g}
 	t.colors = tr.ints()
 	gamma := tr.ints()
 	if tr.err == nil && len(gamma) != g.N() {
@@ -329,6 +329,5 @@ func Load(r io.Reader, g *graph.Graph) (*Tree, error) {
 	if tr.err != nil {
 		return nil, tr.err
 	}
-	t.indexLeaves()
 	return t, nil
 }

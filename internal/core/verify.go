@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+
+	"dvicl/internal/perm"
 )
 
 // Verify checks the structural invariants of a finished AutoTree and
@@ -86,16 +88,42 @@ func (t *Tree) Verify() error {
 		}
 		hit[img] = true
 	}
-	// Generators are automorphisms.
+	// Generators are automorphisms. img is the identity and hit all false
+	// between generators.
+	img := make([]int, n)
+	for v := range img {
+		img[v] = v
+	}
+	clear(hit)
 	for _, s := range t.sparseGens {
+		err := t.checkGenerator(s, img, hit)
 		for _, m := range s.Moved {
-			v, img := m[0], m[1]
-			// Degree must be preserved; full edge check below via Dense
-			// on small graphs only (cost control): here we check the
-			// moved points' degrees as a fast necessary condition.
-			if t.g.Degree(v) != t.g.Degree(img) {
-				return fmt.Errorf("core: generator maps degree-%d vertex to degree-%d",
-					t.g.Degree(v), t.g.Degree(img))
+			img[m[0]], hit[m[1]] = m[0], false
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkGenerator reports whether s is an automorphism of the graph: it
+// must permute its moved points, and map every edge at a moved point to
+// an edge (edges between fixed points map to themselves). It fills img
+// with s's images and marks them in hit; the caller restores both.
+func (t *Tree) checkGenerator(s perm.Sparse, img []int, hit []bool) error {
+	for _, m := range s.Moved {
+		img[m[0]] = m[1]
+	}
+	for _, m := range s.Moved {
+		v, w := m[0], m[1]
+		if v == w || img[w] == w || hit[w] {
+			return fmt.Errorf("core: generator does not permute its moved points")
+		}
+		hit[w] = true
+		for _, u := range t.g.Neighbors32(v) {
+			if !t.g.HasEdge(w, img[u]) {
+				return fmt.Errorf("core: generator maps edge {%d,%d} to non-edge {%d,%d}", v, u, w, img[u])
 			}
 		}
 	}

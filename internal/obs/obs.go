@@ -44,12 +44,10 @@ const (
 	DivideSCalls       // DivideS attempts (Algorithm 3)
 	LeafSearches       // non-singleton leaves labeled by the leaf engine
 	TwinVertsCollapsed // vertices removed by twin simplification (§6.1)
-	WorkerSpawns       // subtree build tasks pushed onto the scheduler deques
-	WorkerInline       // divided nodes whose children built inline (tiny fanout)
 
-	// internal/core scheduler — work-stealing effort. These (plus the two
-	// above) are scheduling counters: their values vary with worker count
-	// and OS timing even though the resulting tree does not. See
+	// internal/core scheduler — work-stealing effort. These are
+	// scheduling counters: their values vary with worker count and OS
+	// timing even though the resulting tree does not. See
 	// SchedulerCounter.
 	SchedSteals         // tasks taken from another worker's deque
 	SchedDequeHighWater // deepest any single deque got during the build
@@ -113,8 +111,6 @@ var counterNames = [numCounters]string{
 	DivideSCalls:       "divide_s_calls",
 	LeafSearches:       "leaf_searches",
 	TwinVertsCollapsed: "twin_verts_collapsed",
-	WorkerSpawns:       "worker_spawns",
-	WorkerInline:       "worker_inline",
 
 	SchedSteals:         "sched_steals",
 	SchedDequeHighWater: "sched_deque_high_water",
@@ -158,15 +154,15 @@ func (c Counter) String() string {
 }
 
 // SchedulerCounter reports whether c measures scheduling effort rather
-// than algorithmic effort. Scheduler counters (task spawns, steals,
-// deque depth) legitimately vary with the worker count and with OS
-// timing; every other counter fires a fixed number of times for a given
-// (graph, options) pair no matter how the subtrees were scheduled.
+// than algorithmic effort. Scheduler counters (steals, deque depth)
+// legitimately vary with the worker count and with OS timing; every
+// other counter fires a fixed number of times for a given (graph,
+// options) pair no matter how the subtrees were scheduled.
 // Determinism checks — "same counters at every worker count" — must
 // compare all counters except these.
 func SchedulerCounter(c Counter) bool {
 	switch c {
-	case WorkerSpawns, WorkerInline, SchedSteals, SchedDequeHighWater:
+	case SchedSteals, SchedDequeHighWater:
 		return true
 	}
 	return false

@@ -59,8 +59,6 @@ var counterHelp = [numCounters]string{
 	DivideSCalls:       "DivideS attempts (Algorithm 3).",
 	LeafSearches:       "Non-singleton leaves labeled by the leaf engine.",
 	TwinVertsCollapsed: "Vertices removed by twin simplification.",
-	WorkerSpawns:       "Subtree build tasks pushed onto the scheduler deques.",
-	WorkerInline:       "Divided nodes whose children were built inline (tiny fanout).",
 
 	SchedSteals:         "Build tasks taken from another worker's deque.",
 	SchedDequeHighWater: "Deepest any single scheduler deque got during a build.",

@@ -210,16 +210,16 @@ func TestStableCountersDropsVarying(t *testing.T) {
 	r1, r2 := obs.New(), obs.New()
 	r1.Add(obs.SearchNodes, 10)
 	r2.Add(obs.SearchNodes, 10)
-	r1.Add(obs.WorkerSpawns, 3)
-	r2.Add(obs.WorkerSpawns, 5) // scheduler-dependent: must be dropped
+	r1.Add(obs.SchedSteals, 3)
+	r2.Add(obs.SchedSteals, 5) // scheduler-dependent: must be dropped
 	counters, dropped := stableCounters([]obs.Snapshot{r1.Snapshot(), r2.Snapshot()})
 	if counters["search_nodes"] != 10 {
 		t.Fatalf("stable counter lost: %v", counters)
 	}
-	if _, ok := counters["worker_spawns"]; ok {
+	if _, ok := counters["sched_steals"]; ok {
 		t.Fatal("varying counter kept")
 	}
-	if len(dropped) != 1 || dropped[0] != "worker_spawns" {
+	if len(dropped) != 1 || dropped[0] != "sched_steals" {
 		t.Fatalf("dropped = %v", dropped)
 	}
 }

@@ -127,9 +127,10 @@ type record struct {
 // Run streams src through the pipeline. It returns when the source is
 // exhausted (report, nil), or on the first source/canonicalize/apply
 // error (partial report, err) — cancellation of cfg.Ctx surfaces as a
-// canonicalize error wrapping engine.ErrCanceled. Decode errors do not
-// abort the run; they are counted and sampled in the report. Whatever
-// the outcome, Run returns only after every worker goroutine has exited.
+// canonicalize or apply error wrapping engine.ErrCanceled. Decode errors
+// do not abort the run; they are counted and sampled in the report.
+// Whatever the outcome, Run returns only after every worker goroutine
+// has exited.
 func Run(cfg Config, src Source) (*Report, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -257,6 +258,11 @@ func Run(cfg Config, src Source) (*Report, error) {
 					})
 				}
 				continue
+			}
+			// Results built before a cancel must not be applied after it.
+			if ctx.Err() != nil {
+				applyErr = engine.ErrCanceled
+				break
 			}
 			if err := cfg.Apply(r.seq, r.cert); err != nil {
 				applyErr = err

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -66,7 +67,7 @@ func ReadManifest(dir string) (Manifest, error) {
 
 // WriteManifest creates dir's manifest via a temporary file, fsync, and
 // atomic rename, so a crash mid-creation never leaves a torn manifest.
-func WriteManifest(dir string, m Manifest) (err error) {
+func WriteManifest(dir string, m Manifest) error {
 	if m.Shards < 1 || m.Shards > MaxShards {
 		return fmt.Errorf("store: manifest shard count %d out of range [1,%d]", m.Shards, MaxShards)
 	}
@@ -77,27 +78,8 @@ func WriteManifest(dir string, m Manifest) (err error) {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp*")
-	if err != nil {
+	return WriteFileAtomic(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	})
 }

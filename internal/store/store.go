@@ -38,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // File names inside an index directory.
@@ -264,7 +265,10 @@ func (s *Store) Compact(certs []string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := writeSnapshotFile(s.dir, certs); err != nil {
+	err := WriteFileAtomic(filepath.Join(s.dir, SnapshotName), func(w io.Writer) error {
+		return WriteSnapshot(w, certs)
+	})
+	if err != nil {
 		return err
 	}
 	if err := s.resetWAL(); err != nil {
@@ -319,10 +323,14 @@ func (s *Store) Close() error {
 //	count × { len uint32, bytes }       framed certificates
 //	crc32   uint32 (IEEE, over everything above)
 
-// writeSnapshotFile writes certs to dir/index.snap via a temporary file,
-// fsync, and atomic rename.
-func writeSnapshotFile(dir string, certs []string) (err error) {
-	tmp, err := os.CreateTemp(dir, SnapshotName+".tmp*")
+// WriteFileAtomic replaces path with what write produces: it writes a
+// temporary file <name>.tmp* in the same directory, fsyncs it, renames it
+// over path and fsyncs the directory. A crash leaves the old file or the
+// new one, never a torn one; at worst a stray temporary file, which
+// readers ignore. On failure the temporary file is removed.
+func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
@@ -332,7 +340,7 @@ func writeSnapshotFile(dir string, certs []string) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if err = WriteSnapshot(tmp, certs); err != nil {
+	if err = write(tmp); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {
@@ -341,7 +349,7 @@ func writeSnapshotFile(dir string, certs []string) (err error) {
 	if err = tmp.Close(); err != nil {
 		return err
 	}
-	if err = os.Rename(tmp.Name(), filepath.Join(dir, SnapshotName)); err != nil {
+	if err = os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
 	return syncDir(dir)
@@ -431,7 +439,8 @@ func ReadSnapshot(r io.Reader) ([]string, error) {
 		return nil, &VersionError{File: SnapshotName, Got: v, Want: Version}
 	}
 	count := binary.LittleEndian.Uint64(hdr[8:16])
-	certs := make([]string, 0, int(min(count, 1<<20)))
+	// count is not trusted either: preallocate at most 64 KiB of headers.
+	certs := make([]string, 0, int(min(count, 1<<12)))
 	var lenBuf [4]byte
 	for i := uint64(0); i < count; i++ {
 		if err := read(lenBuf[:]); err != nil {
@@ -441,10 +450,11 @@ func ReadSnapshot(r io.Reader) ([]string, error) {
 		if n > maxRecordLen {
 			return nil, fmt.Errorf("record %d: implausible length %d: %w", i, n, ErrChecksum)
 		}
-		buf := make([]byte, n)
-		if err := read(buf); err != nil {
+		buf, err := readFull(br, int(n))
+		if err != nil {
 			return nil, err
 		}
+		crc.Write(buf)
 		certs = append(certs, string(buf))
 	}
 	var sum [4]byte
@@ -510,9 +520,9 @@ func readWALRecord(br *bufio.Reader) (seq uint64, cert string, n int, err error)
 		return 0, "", 0, fmt.Errorf("implausible record length %d: %w", length, ErrChecksum)
 	}
 	seq = binary.LittleEndian.Uint64(hdr[4:12])
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, "", 0, truncated(err)
+	payload, err := readFull(br, int(length))
+	if err != nil {
+		return 0, "", 0, err
 	}
 	var sumBuf [4]byte
 	if _, err := io.ReadFull(br, sumBuf[:]); err != nil {
@@ -552,6 +562,27 @@ func ReadWAL(r io.Reader) ([]WALRecord, error) {
 		}
 		recs = append(recs, WALRecord{Seq: seq, Cert: cert})
 	}
+}
+
+// readStep is the most readFull allocates ahead of the bytes it has read.
+const readStep = 64 << 10
+
+// readFull reads exactly n bytes from r. It trusts n only as far as the
+// bytes arrive: the buffer starts at readStep and doubles, so a corrupt
+// length field costs about twice the bytes really present, not n.
+func readFull(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readStep))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, truncated(err)
+		}
+	}
+	return buf, nil
 }
 
 func truncated(err error) error {

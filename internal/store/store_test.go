@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -276,7 +278,10 @@ func TestStoreStaleWALAfterCompactCrash(t *testing.T) {
 	certs := testCerts(15)
 	s := openAppend(t, dir, certs)
 	// Write the snapshot but "crash" before resetWAL.
-	if err := writeSnapshotFile(dir, certs); err != nil {
+	err := WriteFileAtomic(filepath.Join(dir, SnapshotName), func(w io.Writer) error {
+		return WriteSnapshot(w, certs)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	_ = s // never closed
@@ -328,5 +333,82 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 	if err := s.Compact(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+}
+
+// TestSizeBombsAllocateLittle: length and count fields are trusted only
+// as far as the bytes behind them. A snapshot that claims a 256 MiB
+// record or 2^40 records, and a WAL whose tail claims a 256 MiB record,
+// must fail or recover exactly as a plain truncation does, without
+// allocating what the header claims.
+func TestSizeBombsAllocateLittle(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	snapshot := func(count uint64, recordLen uint32) []byte {
+		b := make([]byte, 16, 20)
+		copy(b, snapMagic)
+		binary.LittleEndian.PutUint16(b[4:6], Version)
+		binary.LittleEndian.PutUint64(b[8:16], count)
+		if recordLen > 0 {
+			b = binary.LittleEndian.AppendUint32(b, recordLen)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		snap []byte
+	}{
+		{"snapshot record length", snapshot(1, maxRecordLen)},
+		{"snapshot record count", snapshot(1<<40, 0)},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SnapshotName), tc.snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		n := allocated(func() { _, _, err = Open(dir, Options{}) })
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: err = %v, want ErrTruncated", tc.name, err)
+		}
+		if n > 1<<20 {
+			t.Fatalf("%s: allocated %d bytes", tc.name, n)
+		}
+	}
+
+	dir := t.TempDir()
+	certs := []string{"a", "b", "c"}
+	if err := openAppend(t, dir, certs).Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, WALName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := binary.LittleEndian.AppendUint32(nil, maxRecordLen)
+	tail = binary.LittleEndian.AppendUint64(tail, uint64(len(certs)))
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var s *Store
+	var res *Result
+	n := allocated(func() { s, res, err = Open(dir, Options{}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wantCerts(t, res.Certs, certs)
+	if res.TornBytes != int64(len(tail)) {
+		t.Fatalf("TornBytes = %d, want %d", res.TornBytes, len(tail))
+	}
+	if n > 1<<20 {
+		t.Fatalf("WAL record length: allocated %d bytes", n)
 	}
 }

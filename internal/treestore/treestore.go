@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -112,7 +113,9 @@ type lruEntry struct {
 }
 
 // flightCall collapses concurrent misses on one certificate: the first
-// caller loads or rebuilds, everyone else waits on done.
+// caller loads or rebuilds, everyone else waits on done. If the leader's
+// own context is canceled, a waiter whose context is still live becomes
+// the next leader.
 type flightCall struct {
 	done chan struct{}
 	tree *core.Tree
@@ -157,27 +160,36 @@ func (s *Store) Get(ctx context.Context, cert []byte) (*core.Tree, error) {
 	key := sha256.Sum256(cert)
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
-		rec.Inc(obs.TreeStoreMemHits)
-		return el.Value.(*lruEntry).tree, nil
-	}
-	if fc, ok := s.flight[key]; ok {
+	for {
+		if s.closed {
+			s.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if el, ok := s.entries[key]; ok {
+			s.order.MoveToFront(el)
+			s.mu.Unlock()
+			rec.Inc(obs.TreeStoreMemHits)
+			return el.Value.(*lruEntry).tree, nil
+		}
+		fc, ok := s.flight[key]
+		if !ok {
+			break
+		}
 		s.mu.Unlock()
 		select {
 		case <-fc.done:
+		case <-ctx.Done():
+			return nil, engine.ErrCanceled
+		}
+		// The leader's cancellation belongs to the leader's caller: a
+		// waiter whose own context is still live takes over the flight.
+		if !errors.Is(fc.err, engine.ErrCanceled) || ctx.Err() != nil {
 			if fc.err == nil {
 				rec.Inc(obs.TreeStoreMemHits)
 			}
 			return fc.tree, fc.err
-		case <-ctx.Done():
-			return nil, engine.ErrCanceled
 		}
+		s.mu.Lock()
 	}
 	fc := &flightCall{done: make(chan struct{})}
 	s.flight[key] = fc
@@ -194,14 +206,6 @@ func (s *Store) Get(ctx context.Context, cert []byte) (*core.Tree, error) {
 	s.mu.Unlock()
 	close(fc.done)
 	return tree, err
-}
-
-// Ensure makes the certificate's tree resident (memory and, when the
-// store is persistent, disk) — the write-behind entry point GraphIndex
-// uses after an Add. It is Get with the result discarded.
-func (s *Store) Ensure(ctx context.Context, cert []byte) error {
-	_, err := s.Get(ctx, cert)
-	return err
 }
 
 // loadOrRebuild is the miss path, run by exactly one flight leader per
@@ -376,48 +380,18 @@ func (s *Store) pathOf(key [32]byte) string {
 	return filepath.Join(s.dir, h[:2], h+".tree")
 }
 
-// writeRecord frames and durably writes one record via temp file +
-// fsync + atomic rename (a crash never leaves a torn record in place —
-// at worst a stray .tmp file, which loads ignore).
-func (s *Store) writeRecord(key [32]byte, payload []byte) (err error) {
+// writeRecord frames and durably writes one record (a crash never leaves
+// a torn record in place — at worst a stray .tmp file, which loads
+// ignore).
+func (s *Store) writeRecord(key [32]byte, payload []byte) error {
 	path := s.pathOf(key)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	return store.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(encodeRecord(payload))
 		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(encodeRecord(payload)); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	})
 }
 
 // encodeRecord frames a Save payload:

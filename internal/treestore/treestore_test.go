@@ -252,6 +252,70 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// hookCtx runs hook the first time Done is called: for a flight leader
+// that is when its build starts watching the context, for a waiter when
+// it starts waiting on the flight.
+type hookCtx struct {
+	context.Context
+	once sync.Once
+	hook func()
+}
+
+func (c *hookCtx) Done() <-chan struct{} {
+	c.once.Do(c.hook)
+	return c.Context.Done()
+}
+
+// TestCanceledLeaderHandsOverFlight: when the caller leading a rebuild
+// cancels, a waiter whose own context is live must still get the tree,
+// by rebuilding it itself, not the leader's ErrCanceled. The hooks order
+// the steps: the leader's build blocks until the waiter is waiting on
+// the flight, and the waiter's arrival cancels the leader.
+func TestCanceledLeaderHandsOverFlight(t *testing.T) {
+	rec := obs.New()
+	s, err := Open("", Options{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cert := certOf(t, gen.CFI(gen.RigidCubic(8, 7), false))
+
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderBuilding, waiterWaiting := make(chan struct{}), make(chan struct{})
+	leaderCtx := &hookCtx{Context: inner, hook: func() {
+		close(leaderBuilding)
+		<-waiterWaiting
+	}}
+	waiterCtx := &hookCtx{Context: context.Background(), hook: func() {
+		cancel()
+		close(waiterWaiting)
+	}}
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.Get(leaderCtx, cert)
+		leaderErr <- err
+	}()
+	<-leaderBuilding
+	tree, err := s.Get(waiterCtx, cert)
+	if err != nil {
+		t.Fatalf("waiter with a live context: %v", err)
+	}
+	if tree == nil || !bytes.Equal(tree.CanonicalCert(), cert) {
+		t.Fatal("waiter got the wrong tree")
+	}
+	if err := <-leaderErr; !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("canceled leader: %v, want ErrCanceled", err)
+	}
+	if got := rec.Counter(obs.TreeRebuilds); got != 2 {
+		t.Fatalf("tree_rebuilds = %d, want 2 (canceled leader, then the waiter)", got)
+	}
+	if again, err := s.Get(context.Background(), cert); err != nil || again != tree {
+		t.Fatalf("the waiter's rebuild was not cached: %v", err)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	rec := obs.New()
 	s, err := Open("", Options{MemBudget: 1, Obs: rec}) // 1 byte: at most one resident tree
