@@ -84,24 +84,20 @@ func main() {
 	defer closeIn()
 
 	rec := dvicl.NewMetricsRecorder()
-	opt := dvicl.Options{Obs: rec}
-	var ix *dvicl.GraphIndex
+	ix, err := dvicl.OpenGraphIndex(*data, dvicl.IndexOptions{
+		DviCL:        dvicl.Options{Obs: rec},
+		CacheSize:    *cache,
+		SyncWrites:   *sync,
+		CompactEvery: *compactEvery,
+		Shards:       *shards,
+	})
+	if err != nil {
+		fatal(err)
+	}
 	if *data != "" {
-		ix, err = dvicl.OpenGraphIndex(*data, dvicl.IndexOptions{
-			DviCL:        opt,
-			CacheSize:    *cache,
-			SyncWrites:   *sync,
-			CompactEvery: *compactEvery,
-			Shards:       *shards,
-		})
-		if err != nil {
-			fatal(err)
-		}
 		st := ix.Stats()
 		log.Printf("bulkload: opened %s: %d graphs, %d classes, %d shards",
 			*data, st.Graphs, st.Classes, st.Shards)
-	} else {
-		ix = dvicl.NewShardedGraphIndex(opt, *shards)
 	}
 
 	// SIGINT/SIGTERM cancel the run: in-flight builds abort at their next
@@ -116,17 +112,14 @@ func main() {
 		Workers: *workers,
 		Decode:  decoder(*format, *in),
 		Canon: func(ctx context.Context, g *graph.Graph, ws *dvicl.Workspace, wrec *obs.Recorder) (string, error) {
-			o := opt
-			o.Obs = wrec
-			o.Workspace = ws
 			start := time.Now()
-			cert, err := dvicl.CanonicalCertCtx(ctx, g, nil, o)
+			cert, err := ix.BuildCert(ctx, g, ws, wrec)
 			if d := time.Since(start); *slowBuild > 0 && d >= *slowBuild {
 				slogger.Warn("slow build",
 					slog.Int("n", g.N()), slog.Int("m", g.M()),
 					slog.Float64("dur_ms", float64(d)/float64(time.Millisecond)))
 			}
-			return string(cert), err
+			return cert, err
 		},
 		Apply: func(seq int64, cert string) error {
 			if _, _, err := ix.AddCert(cert); err != nil {

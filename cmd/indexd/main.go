@@ -105,19 +105,16 @@ func main() {
 		opt.TreeStore = &dvicl.TreeStoreOptions{MemBudget: *treeStoreMem}
 	}
 
-	var ix *dvicl.GraphIndex
-	if *data != "" {
-		var err error
-		ix, err = dvicl.OpenGraphIndex(*data, opt)
-		if err != nil {
-			log.Fatalf("indexd: open %s: %v", *data, err)
-		}
+	ix, err := dvicl.OpenGraphIndex(*data, opt)
+	if err != nil {
+		log.Fatalf("indexd: open %s: %v", *data, err)
+	}
+	if *data == "" {
+		log.Printf("indexd: in-memory index (no -data directory; adds will not survive restart)")
+	} else {
 		st := ix.Stats()
 		log.Printf("indexd: loaded %d graphs (%d classes, %d shards) from %s: snapshot=%d wal=%d torn-bytes=%d",
 			st.Graphs, st.Classes, st.Shards, *data, st.SnapshotCerts, st.ReplayedRecords, st.RecoveredBytes)
-	} else {
-		ix = dvicl.NewGraphIndexWithOptions(opt)
-		log.Printf("indexd: in-memory index (no -data directory; adds will not survive restart)")
 	}
 
 	if *debugAddr != "" {
@@ -138,7 +135,6 @@ func main() {
 		FlightSize:   *flightSize,
 		Logger:       slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	})
-	srv.buildOpt = opt.DviCL
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("indexd: listen %s: %v", *addr, err)

@@ -20,7 +20,11 @@ import (
 func newObsServer(t *testing.T) (*httptest.Server, *server, *dvicl.MetricsRecorder) {
 	t.Helper()
 	rec := dvicl.NewMetricsRecorder()
-	ix := dvicl.NewShardedGraphIndex(dvicl.Options{Obs: rec}, 4)
+	ix, err := dvicl.OpenGraphIndex("", dvicl.IndexOptions{DviCL: dvicl.Options{Obs: rec}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
 	srv := newServer(ix, rec, serverConfig{
 		MaxInflight: 8,
 		MaxVerts:    1 << 20,

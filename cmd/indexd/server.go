@@ -129,7 +129,6 @@ type server struct {
 	maxVerts     int
 	maxBodyBytes int64
 	bulkWorkers  int
-	buildOpt     dvicl.Options // per-build options (Budget, Workers) for /bulk canonicalization
 	flight       *flightRecorder
 	start        time.Time
 }
@@ -570,13 +569,7 @@ func (s *server) handleBulk(w http.ResponseWriter, r *http.Request) {
 			Ctx:     r.Context(),
 			Workers: s.bulkWorkers,
 			Decode:  decode,
-			Canon: func(ctx context.Context, g *dvicl.Graph, ws *dvicl.Workspace, wrec *dvicl.MetricsRecorder) (string, error) {
-				o := s.buildOpt
-				o.Obs = wrec
-				o.Workspace = ws
-				cert, err := dvicl.CanonicalCertCtx(ctx, g, nil, o)
-				return string(cert), err
-			},
+			Canon:   s.ix.BuildCert,
 			Apply: func(seq int64, cert string) error {
 				_, dup, err := s.ix.AddCertCtx(r.Context(), cert)
 				if err != nil {

@@ -17,15 +17,9 @@ import (
 func newTestServer(t *testing.T, dir string) (*httptest.Server, *dvicl.GraphIndex) {
 	t.Helper()
 	rec := dvicl.NewMetricsRecorder()
-	var ix *dvicl.GraphIndex
-	if dir == "" {
-		ix = dvicl.NewGraphIndex(dvicl.Options{Obs: rec})
-	} else {
-		var err error
-		ix, err = dvicl.OpenGraphIndex(dir, dvicl.IndexOptions{DviCL: dvicl.Options{Obs: rec}})
-		if err != nil {
-			t.Fatal(err)
-		}
+	ix, err := dvicl.OpenGraphIndex(dir, dvicl.IndexOptions{DviCL: dvicl.Options{Obs: rec}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	srv := newServer(ix, rec, serverConfig{MaxInflight: 8, MaxVerts: 1 << 20})
 	ts := httptest.NewServer(srv.handler(10 * time.Second))

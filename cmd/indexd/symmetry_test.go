@@ -20,15 +20,9 @@ func newSymTestServer(t *testing.T, dir string) (*httptest.Server, *dvicl.GraphI
 		DviCL:     dvicl.Options{Obs: rec},
 		TreeStore: &dvicl.TreeStoreOptions{},
 	}
-	var ix *dvicl.GraphIndex
-	if dir == "" {
-		ix = dvicl.NewGraphIndexWithOptions(opt)
-	} else {
-		var err error
-		ix, err = dvicl.OpenGraphIndex(dir, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+	ix, err := dvicl.OpenGraphIndex(dir, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
 	srv := newServer(ix, rec, serverConfig{MaxInflight: 8, MaxVerts: 1 << 20})
@@ -249,6 +243,22 @@ func TestReadyzEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-close /healthz status %d", resp.StatusCode)
+	}
+	var e errResp
+	if code := getJSON(t, ts.URL+"/readyz", &e); code != 503 {
+		t.Fatalf("post-close /readyz status %d (%+v)", code, e)
+	}
+}
+
+// TestReadyzInMemory: an in-memory daemon without a tree store is ready
+// while its index is open and answers 503 once shutdown closes it.
+func TestReadyzInMemory(t *testing.T) {
+	ts, ix := newTestServer(t, "")
+	if code := getJSON(t, ts.URL+"/readyz", nil); code != 200 {
+		t.Fatalf("/readyz status %d", code)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 	var e errResp
 	if code := getJSON(t, ts.URL+"/readyz", &e); code != 503 {

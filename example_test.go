@@ -144,12 +144,17 @@ func ExampleBudget() {
 	// <nil> true
 }
 
-// ExampleNewShardedGraphIndex partitions an in-memory index into 4
-// shards. Shard routing is by certificate hash, so an isomorphism class
-// lives entirely on one shard and Lookup reads a single shard; global
-// ids are local·shards+shard, deterministic for a fixed shard count.
-func ExampleNewShardedGraphIndex() {
-	ix := dvicl.NewShardedGraphIndex(dvicl.Options{}, 4)
+// ExampleOpenGraphIndex_sharded partitions an in-memory index (empty
+// directory) into 4 shards. Shard routing is by certificate hash, so an
+// isomorphism class lives entirely on one shard and Lookup reads a
+// single shard; global ids are local·shards+shard, deterministic for a
+// fixed shard count.
+func ExampleOpenGraphIndex_sharded() {
+	ix, err := dvicl.OpenGraphIndex("", dvicl.IndexOptions{Shards: 4})
+	if err != nil {
+		panic(err)
+	}
+	defer ix.Close()
 	c4 := dvicl.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	p4 := dvicl.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 

@@ -1,6 +1,7 @@
 package dvicl
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -23,8 +24,9 @@ const (
 	defaultCompactEvery = 8192
 )
 
-// IndexOptions configures a persistent GraphIndex opened with
-// OpenGraphIndex.
+// IndexOptions configures a GraphIndex opened with OpenGraphIndex. The
+// persistence knobs (SyncWrites, CompactEvery) apply only to an index
+// with a data directory.
 type IndexOptions struct {
 	// DviCL configures the underlying certificate builds (zero value is
 	// fine). Attach an observability recorder via DviCL.Obs to get the
@@ -50,15 +52,16 @@ type IndexOptions struct {
 	// subdirectories. The count is fixed at creation: reopening an
 	// existing directory adopts the on-disk count and ignores this field.
 	Shards int
-	// TreeStore, when non-nil, opens a persistent AutoTree store beside
-	// each shard's certificate store (a trees/ subdirectory) and enables
-	// the symmetry-query serving path: OrbitsCtx, AutGroupCtx,
-	// QuotientCtx and SSMCtx answer from stored trees, and every Add of a
-	// new isomorphism class write-behind persists its tree. The
+	// TreeStore, when non-nil, keeps each class's AutoTree for the
+	// symmetry queries (OrbitsCtx, AutGroupCtx, QuotientCtx, SSMCtx):
+	// every Add of a new isomorphism class write-behind persists its tree
+	// to its shard's store — on disk in a trees/ subdirectory of a durable
+	// index, in memory otherwise — and decoded trees are cached. The
 	// TreeStoreOptions Build and Obs fields are overridden with the
 	// index's own DviCL options and recorder; MemBudget is the total
 	// decoded-tree cache across all shards. With TreeStore nil the
-	// symmetry queries still work but rebuild the tree on every call.
+	// symmetry queries still work but rebuild the tree on every call
+	// (concurrent queries for one class share one rebuild).
 	TreeStore *TreeStoreOptions
 }
 
@@ -77,8 +80,8 @@ type indexShard struct {
 	certs   []string         // local id -> certificate
 	closed  bool
 
-	st         *store.Store     // nil for an ephemeral index
-	ts         *treestore.Store // nil when IndexOptions.TreeStore is unset
+	st         *store.Store // nil for an in-memory index
+	ts         *treestore.Store
 	compacting atomic.Bool
 }
 
@@ -88,11 +91,12 @@ type indexShard struct {
 // they share it, so duplicate detection and isomorphism lookup become
 // map operations.
 //
-// An index is either ephemeral (NewGraphIndex) or durable
-// (OpenGraphIndex): the durable form write-through-logs every Add to a
-// WAL and periodically compacts it into a snapshot (see internal/store
-// for the on-disk contract), so a restart — even after kill -9 — reloads
-// the same id assignment.
+// An index is either in memory (OpenGraphIndex with an empty directory,
+// or NewGraphIndex) or durable (OpenGraphIndex with a directory): the
+// durable form write-through-logs every Add to a WAL and periodically
+// compacts it into a snapshot (see internal/store for the on-disk
+// contract), so a restart — even after kill -9 — reloads the same id
+// assignment.
 //
 // # Sharding
 //
@@ -130,21 +134,20 @@ type GraphIndex struct {
 	opt    Options
 	cache  *certCache // nil when disabled
 
-	persistent   bool
+	dataDir      string // index root; "" for an in-memory index
 	compactEvery int
 	bg           sync.WaitGroup
 	closing      atomic.Bool
 
-	// Write-behind tree persistence: Adds of new classes enqueue their
+	// Write-behind tree persistence, present only with
+	// IndexOptions.TreeStore: Adds of new classes enqueue their
 	// certificate (under the shard lock, so no enqueue can race Close);
 	// tsWorkers goroutines drain the queue into the shard tree stores. A
 	// full queue drops the persist — the treestore has cache semantics,
 	// so a dropped entry merely costs a rebuild on first query.
-	tsPersist   chan tsPersistReq
-	tsPending   sync.WaitGroup // queued-but-unpersisted certificates
-	tsWorkerWG  sync.WaitGroup // running persist workers
-	dataDir     string         // index root; "" for an ephemeral index
-	hasTreeCols bool           // IndexOptions.TreeStore was non-nil
+	tsPersist  chan tsPersistReq // nil without IndexOptions.TreeStore
+	tsPending  sync.WaitGroup    // queued-but-unpersisted certificates
+	tsWorkerWG sync.WaitGroup    // running persist workers
 
 	// Open-time recovery facts, summed across shards, surfaced in Stats.
 	snapshotCerts  int
@@ -203,93 +206,70 @@ func newShards(n int) []*indexShard {
 	return shards
 }
 
-// NewGraphIndex returns an empty ephemeral (in-memory) single-shard
-// index. opt configures the underlying DviCL runs (zero value is fine).
-// The certificate cache is enabled at its default size.
+// shardDir is shard i's directory: the index root of a single-shard
+// index, its shard-NNN/ subdirectory otherwise.
+func (ix *GraphIndex) shardDir(i int) string {
+	if len(ix.shards) == 1 {
+		return ix.dataDir
+	}
+	return filepath.Join(ix.dataDir, store.ShardDir(i))
+}
+
+// NewGraphIndex returns an empty in-memory single-shard index — the
+// quick-start form of OpenGraphIndex("", IndexOptions{DviCL: opt}). opt
+// configures the underlying DviCL runs (zero value is fine). The
+// certificate cache is enabled at its default size.
 func NewGraphIndex(opt Options) *GraphIndex {
-	return NewShardedGraphIndex(opt, 1)
-}
-
-// NewShardedGraphIndex returns an empty ephemeral index partitioned into
-// shards independently locked shards (values < 1 mean 1). Use it when
-// many goroutines Add concurrently — e.g. the indexd bulk path on an
-// in-memory index.
-func NewShardedGraphIndex(opt Options, shards int) *GraphIndex {
-	return NewGraphIndexWithOptions(IndexOptions{DviCL: opt, Shards: shards})
-}
-
-// NewGraphIndexWithOptions returns an empty ephemeral index honoring the
-// full IndexOptions surface: shard count, cache size, and — when
-// TreeStore is non-nil — a memory-only AutoTree store per shard, so the
-// symmetry-query warm path works without a data directory. The
-// persistence knobs (SyncWrites, CompactEvery) are ignored. An index
-// with a tree store must be Closed to stop its persist workers.
-func NewGraphIndexWithOptions(opt IndexOptions) *GraphIndex {
-	nShards := opt.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	if nShards > store.MaxShards {
-		nShards = store.MaxShards
-	}
-	ix := &GraphIndex{
-		shards: newShards(nShards),
-		opt:    opt.DviCL,
-	}
-	switch {
-	case opt.CacheSize > 0:
-		ix.cache = newCertCache(opt.CacheSize, nShards)
-	case opt.CacheSize == 0:
-		ix.cache = newCertCache(defaultCacheSize, nShards)
-	}
-	if opt.TreeStore != nil {
-		// Memory-only stores cannot fail to open.
-		if err := ix.initTreeStores("", *opt.TreeStore); err != nil {
-			panic("dvicl: ephemeral tree store: " + err.Error())
-		}
+	ix, err := OpenGraphIndex("", IndexOptions{DviCL: opt})
+	if err != nil {
+		// Unreachable: an in-memory index with one shard touches no disk.
+		panic("dvicl: NewGraphIndex: " + err.Error())
 	}
 	return ix
 }
 
-// initTreeStores opens one AutoTree store per shard (under
-// <shard>/trees when root is non-empty, memory-only otherwise) and
-// starts the write-behind persist workers. The configured MemBudget is
-// the index-wide total, split evenly across shards.
-func (ix *GraphIndex) initTreeStores(root string, topt treestore.Options) error {
+// initTreeStores gives every shard an AutoTree store. With opt set, each
+// store lives under <shard>/trees on a durable index (in memory
+// otherwise), caches decoded trees under its even share of the
+// index-wide MemBudget, and is fed by the write-behind persist workers
+// started here. With opt nil, each store is memory-only with no cache
+// and no workers: a symmetry query rebuilds its tree, and the store's
+// single flight collapses concurrent rebuilds of one class.
+func (ix *GraphIndex) initTreeStores(opt *TreeStoreOptions) error {
+	topt := treestore.Options{MemBudget: -1}
+	if opt != nil {
+		topt = *opt
+		if topt.MemBudget == 0 {
+			topt.MemBudget = treestore.DefaultMemBudget
+		}
+		if per := topt.MemBudget / int64(len(ix.shards)); per > 0 {
+			topt.MemBudget = per
+		} else if topt.MemBudget > 0 {
+			topt.MemBudget = 1
+		}
+	}
 	topt.Build = ix.opt
 	topt.Obs = ix.opt.Obs
-	if topt.MemBudget == 0 {
-		topt.MemBudget = treestore.DefaultMemBudget
-	}
-	if per := topt.MemBudget / int64(len(ix.shards)); per > 0 {
-		topt.MemBudget = per
-	} else if topt.MemBudget > 0 {
-		topt.MemBudget = 1
-	}
 	for i, sh := range ix.shards {
 		tdir := ""
-		if root != "" {
-			sdir := root
-			if len(ix.shards) > 1 {
-				sdir = filepath.Join(root, store.ShardDir(i))
-			}
-			tdir = filepath.Join(sdir, "trees")
+		if opt != nil && ix.dataDir != "" {
+			tdir = filepath.Join(ix.shardDir(i), "trees")
 		}
 		ts, err := treestore.Open(tdir, topt)
 		if err != nil {
 			for _, prev := range ix.shards[:i] {
 				prev.ts.Close()
-				prev.ts = nil
 			}
 			return fmt.Errorf("dvicl: shard %d tree store: %w", i, err)
 		}
 		sh.ts = ts
 	}
-	ix.hasTreeCols = true
-	ix.tsPersist = make(chan tsPersistReq, tsQueueLen)
-	for w := 0; w < tsWorkers; w++ {
-		ix.tsWorkerWG.Add(1)
-		go ix.persistWorker()
+	if opt != nil {
+		ix.tsPersist = make(chan tsPersistReq, tsQueueLen)
+		for w := 0; w < tsWorkers; w++ {
+			ix.tsWorkerWG.Add(1)
+			go ix.persistWorker()
+		}
 	}
 	return nil
 }
@@ -305,87 +285,84 @@ func (ix *GraphIndex) persistWorker() {
 	}
 }
 
-// OpenGraphIndex opens (creating if needed) a durable index rooted at
-// dir, replaying the snapshot and WAL of every shard found there. See
-// IndexOptions for the knobs and Stats for what was recovered. The
-// caller must Close the index to release the WALs and write final
-// snapshots.
+// OpenGraphIndex opens an index. With a directory it is durable: dir is
+// created if needed and the snapshot and WAL of every shard found there
+// are replayed (Stats reports what was recovered). With dir == "" the
+// index lives in memory and starts empty; the persistence knobs are
+// ignored and any tree stores are memory-only. See IndexOptions for the
+// knobs. The caller must Close the index: a durable one releases its
+// WALs and writes final snapshots, and Close stops the tree-store
+// persist workers either way.
 func OpenGraphIndex(dir string, opt IndexOptions) (*GraphIndex, error) {
-	nShards := opt.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
+	nShards := max(opt.Shards, 1)
 	if nShards > store.MaxShards {
 		return nil, fmt.Errorf("dvicl: %d shards exceeds limit %d", nShards, store.MaxShards)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	// The on-disk layout wins over the requested count: a manifest pins
-	// the shard count; a manifest-less directory with index files at its
-	// root is a single-shard index (which never writes a manifest).
-	switch m, err := store.ReadManifest(dir); {
-	case err == nil:
-		nShards = m.Shards
-	case errors.Is(err, os.ErrNotExist):
-		if singleShardLayout(dir) {
-			nShards = 1
-		} else if nShards > 1 {
-			m := store.Manifest{Version: store.Version, Shards: nShards, TreeStore: opt.TreeStore != nil}
-			if err := store.WriteManifest(dir, m); err != nil {
-				return nil, err
-			}
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
 		}
-	default:
-		return nil, err
+		// The on-disk layout wins over the requested count: a manifest
+		// pins the shard count; a manifest-less directory with index files
+		// at its root is a single-shard index (which never writes a
+		// manifest).
+		switch m, err := store.ReadManifest(dir); {
+		case err == nil:
+			nShards = m.Shards
+		case errors.Is(err, os.ErrNotExist):
+			if singleShardLayout(dir) {
+				nShards = 1
+			} else if nShards > 1 {
+				m := store.Manifest{Version: store.Version, Shards: nShards, TreeStore: opt.TreeStore != nil}
+				if err := store.WriteManifest(dir, m); err != nil {
+					return nil, err
+				}
+			}
+		default:
+			return nil, err
+		}
 	}
 
 	ix := &GraphIndex{
 		shards:       newShards(nShards),
 		opt:          opt.DviCL,
-		persistent:   true,
-		compactEvery: opt.CompactEvery,
 		dataDir:      dir,
+		compactEvery: opt.CompactEvery,
 	}
 	if ix.compactEvery == 0 {
 		ix.compactEvery = defaultCompactEvery
 	}
-	switch {
-	case opt.CacheSize > 0:
-		ix.cache = newCertCache(opt.CacheSize, nShards)
-	case opt.CacheSize == 0:
-		ix.cache = newCertCache(defaultCacheSize, nShards)
+	if cacheSize := cmp.Or(opt.CacheSize, defaultCacheSize); cacheSize > 0 {
+		ix.cache = newCertCache(cacheSize, nShards)
 	}
 
-	for i, sh := range ix.shards {
-		sdir := dir
-		if nShards > 1 {
-			sdir = filepath.Join(dir, store.ShardDir(i))
-		}
-		st, res, err := store.Open(sdir, store.Options{Sync: opt.SyncWrites})
-		if err != nil {
-			for _, prev := range ix.shards[:i] {
-				prev.st.Close()
+	if dir != "" {
+		for i, sh := range ix.shards {
+			st, res, err := store.Open(ix.shardDir(i), store.Options{Sync: opt.SyncWrites})
+			if err != nil {
+				for _, prev := range ix.shards[:i] {
+					prev.st.Close()
+				}
+				return nil, fmt.Errorf("dvicl: shard %d: %w", i, err)
 			}
-			return nil, fmt.Errorf("dvicl: shard %d: %w", i, err)
+			sh.st = st
+			sh.certs = res.Certs
+			sh.classes = make(map[string][]int, len(res.Certs))
+			for local, cert := range sh.certs {
+				sh.classes[cert] = append(sh.classes[cert], local)
+			}
+			ix.snapshotCerts += res.SnapshotCerts
+			ix.replayedAtOpen += res.WALReplayed
+			ix.recoveredBytes += res.TornBytes
 		}
-		sh.st = st
-		sh.certs = res.Certs
-		sh.classes = make(map[string][]int, len(res.Certs))
-		for local, cert := range sh.certs {
-			sh.classes[cert] = append(sh.classes[cert], local)
-		}
-		ix.snapshotCerts += res.SnapshotCerts
-		ix.replayedAtOpen += res.WALReplayed
-		ix.recoveredBytes += res.TornBytes
 	}
-	if opt.TreeStore != nil {
-		if err := ix.initTreeStores(dir, *opt.TreeStore); err != nil {
-			for _, sh := range ix.shards {
+	if err := ix.initTreeStores(opt.TreeStore); err != nil {
+		for _, sh := range ix.shards {
+			if sh.st != nil {
 				sh.st.Close()
 			}
-			return nil, err
 		}
+		return nil, err
 	}
 	ix.opt.Obs.Add(obs.WALReplayed, int64(ix.replayedAtOpen))
 	return ix, nil
@@ -472,7 +449,7 @@ func (ix *GraphIndex) addCert(cert string, rec *obs.Recorder) (id int, duplicate
 	sh.certs = append(sh.certs, cert)
 	members := sh.classes[cert]
 	sh.classes[cert] = append(members, local)
-	if sh.ts != nil && len(members) == 0 {
+	if ix.tsPersist != nil && len(members) == 0 {
 		// First member of a new class: write-behind persist its AutoTree.
 		// Enqueued under the shard lock — Close marks every shard closed
 		// under the same locks before draining, so no enqueue races the
@@ -486,16 +463,21 @@ func (ix *GraphIndex) addCert(cert string, rec *obs.Recorder) (id int, duplicate
 			rec.Inc(obs.TreeStorePersistDropped)
 		}
 	}
-	needCompact := sh.st != nil && ix.compactEvery > 0 &&
-		sh.st.SinceSnapshot() >= ix.compactEvery
+	// The compaction is claimed and counted into bg under the shard lock:
+	// Close marks the shard closed under the same lock before bg.Wait, so
+	// every bg.Add happens before that Wait.
+	compact := sh.st != nil && ix.compactEvery > 0 &&
+		sh.st.SinceSnapshot() >= ix.compactEvery && sh.compacting.CompareAndSwap(false, true)
+	if compact {
+		ix.bg.Add(1)
+	}
 	sh.mu.Unlock()
 
 	duplicate = len(members) > 0
 	if duplicate {
 		rec.Inc(obs.IndexAddDuplicate)
 	}
-	if needCompact && sh.compacting.CompareAndSwap(false, true) {
-		ix.bg.Add(1)
+	if compact {
 		go func() {
 			defer ix.bg.Done()
 			defer sh.compacting.Store(false)
@@ -565,10 +547,10 @@ func (ix *GraphIndex) Classes() int {
 // Flush synchronously compacts the index: every shard's full certificate
 // list is written as a new snapshot (atomic rename) and its WAL is
 // reset. Shards are compacted one at a time, so concurrent Adds to other
-// shards proceed while each snapshot is cut. A no-op on an ephemeral
+// shards proceed while each snapshot is cut. A no-op on an in-memory
 // index.
 func (ix *GraphIndex) Flush() error {
-	if !ix.persistent {
+	if ix.dataDir == "" {
 		return nil
 	}
 	for _, sh := range ix.shards {
@@ -598,15 +580,12 @@ func (ix *GraphIndex) flushShardLocked(sh *indexShard) error {
 	return nil
 }
 
-// Close flushes a final snapshot of every shard, drains the write-behind
-// tree persists, and releases the WALs and tree stores. Further Adds and
-// Flushes return ErrIndexClosed (Close itself is idempotent). A no-op on
-// an ephemeral index without a tree store; an ephemeral index *with* one
-// must be Closed to stop its persist workers.
+// Close flushes a final snapshot of every shard of a durable index,
+// drains the write-behind tree persists, and releases the WALs and tree
+// stores. Afterwards Add, the symmetry queries and Ready return
+// ErrIndexClosed, as do Flushes of a durable index; reads of what was
+// stored (Lookup, Len, Stats) keep working. Close itself is idempotent.
 func (ix *GraphIndex) Close() error {
-	if !ix.persistent && !ix.hasTreeCols {
-		return nil
-	}
 	if !ix.closing.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -628,10 +607,8 @@ func (ix *GraphIndex) Close() error {
 	var firstErr error
 	for _, sh := range ix.shards {
 		sh.mu.Lock()
-		if sh.ts != nil {
-			if err := sh.ts.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := sh.ts.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		if sh.st != nil {
 			if err := ix.flushShardLocked(sh); err != nil && firstErr == nil {
@@ -654,7 +631,7 @@ func (ix *GraphIndex) Ready() error {
 	if ix.closing.Load() {
 		return ErrIndexClosed
 	}
-	if !ix.persistent {
+	if ix.dataDir == "" {
 		return nil
 	}
 	probe, err := os.CreateTemp(ix.dataDir, ".readyz-*")
@@ -707,7 +684,7 @@ type IndexStats struct {
 // concurrent writes — fine for monitoring.
 func (ix *GraphIndex) Stats() IndexStats {
 	s := IndexStats{
-		Persistent:      ix.persistent,
+		Persistent:      ix.dataDir != "",
 		Shards:          len(ix.shards),
 		SnapshotCerts:   ix.snapshotCerts,
 		ReplayedRecords: ix.replayedAtOpen,
@@ -725,12 +702,9 @@ func (ix *GraphIndex) Stats() IndexStats {
 		sh.mu.RUnlock()
 	}
 	s.Duplicates = s.Graphs - s.Classes
-	if ix.hasTreeCols {
+	if ix.tsPersist != nil {
 		agg := &TreeStoreStats{}
 		for _, sh := range ix.shards {
-			if sh.ts == nil {
-				continue
-			}
 			ts := sh.ts.Stats()
 			agg.Entries += ts.Entries
 			agg.Bytes += ts.Bytes
@@ -764,6 +738,18 @@ func (ix *GraphIndex) Certificate(g *Graph) string {
 // CertificateCtx is Certificate with a context bounding the build.
 func (ix *GraphIndex) CertificateCtx(ctx context.Context, g *Graph) (string, error) {
 	return ix.certOfCtx(ctx, g)
+}
+
+// BuildCert builds g's canonical certificate under the index's DviCL
+// options, drawing scratch memory from ws and counting into rec, without
+// touching the certificate cache. It has the shape of a bulk-ingest
+// pipeline's Canon step, whose results feed AddCert.
+func (ix *GraphIndex) BuildCert(ctx context.Context, g *Graph, ws *Workspace, rec *MetricsRecorder) (string, error) {
+	o := ix.opt
+	o.Obs = rec
+	o.Workspace = ws
+	cert, err := CanonicalCertCtx(ctx, g, nil, o)
+	return string(cert), err
 }
 
 // certOfCtx computes (or recalls) the canonical certificate of g. It

@@ -15,7 +15,7 @@ import (
 func TestShardedIndexDeterministicIDs(t *testing.T) {
 	graphs := indexTestGraphs()
 	run := func() []int {
-		ix := NewShardedGraphIndex(Options{}, 4)
+		ix := openMem(t, IndexOptions{Shards: 4})
 		var ids []int
 		for i := 0; i < 3; i++ {
 			for _, g := range graphs {
@@ -37,7 +37,7 @@ func TestShardedIndexDeterministicIDs(t *testing.T) {
 	// Certificates are shard-independent: a single-shard index groups the
 	// same stream into the same classes.
 	single := NewGraphIndex(Options{})
-	sharded := NewShardedGraphIndex(Options{}, 8)
+	sharded := openMem(t, IndexOptions{Shards: 8})
 	for _, g := range graphs {
 		mustAdd(t, single, g)
 		mustAdd(t, sharded, g)

@@ -1,6 +1,7 @@
 package dvicl
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,6 +24,17 @@ func indexTestGraphs() []*Graph {
 		star.Permute([]int{1, 0, 2, 3, 4, 5}),
 		twoTri.Permute([]int{2, 1, 0, 5, 4, 3}),
 	}
+}
+
+// openMem opens an in-memory index, closed when the test ends.
+func openMem(t *testing.T, opt IndexOptions) *GraphIndex {
+	t.Helper()
+	ix, err := OpenGraphIndex("", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	return ix
 }
 
 func mustAdd(t *testing.T, ix *GraphIndex, g *Graph) (int, bool) {
@@ -270,5 +282,69 @@ func TestGraphIndexAutoCompaction(t *testing.T) {
 	st := ix2.Stats()
 	if st.Graphs != 3*len(graphs) || st.SnapshotCerts != 3*len(graphs) || st.ReplayedRecords != 0 {
 		t.Fatalf("stats after compacted reload: %+v", st)
+	}
+}
+
+// TestGraphIndexCloseInMemory: Close closes an in-memory index like a
+// durable one — Adds and Ready fail with ErrIndexClosed afterwards, and
+// a second Close is a no-op.
+func TestGraphIndexCloseInMemory(t *testing.T) {
+	ix := NewGraphIndex(Options{})
+	g := indexTestGraphs()[0]
+	mustAdd(t, ix, g)
+	if err := ix.Ready(); err != nil {
+		t.Fatalf("Ready before Close: %v", err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Add(g); !errors.Is(err, ErrIndexClosed) {
+		t.Fatalf("Add after Close: got %v, want ErrIndexClosed", err)
+	}
+	if err := ix.Ready(); !errors.Is(err, ErrIndexClosed) {
+		t.Fatalf("Ready after Close: got %v, want ErrIndexClosed", err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if ix.Len() != 1 {
+		t.Fatalf("Len after Close = %d, want 1", ix.Len())
+	}
+}
+
+// TestGraphIndexCompactionCloseRace: Adds that trigger background
+// compactions race Close. Every compaction must be counted before Close
+// waits for them, so none outlives Close; under -race a compaction
+// counted concurrently with that wait is reported as a WaitGroup misuse.
+func TestGraphIndexCompactionCloseRace(t *testing.T) {
+	certOf := NewGraphIndex(Options{})
+	var certs []string
+	for _, g := range indexTestGraphs() {
+		certs = append(certs, certOf.Certificate(g))
+	}
+	for iter := 0; iter < 200; iter++ {
+		ix, err := OpenGraphIndex(t.TempDir(), IndexOptions{CompactEvery: 1, CacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; ; i++ {
+					if _, _, err := ix.AddCert(certs[i%len(certs)]); err != nil {
+						if !errors.Is(err, ErrIndexClosed) {
+							t.Error(err)
+						}
+						return
+					}
+				}
+			}(w)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
 	}
 }

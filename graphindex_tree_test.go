@@ -59,11 +59,10 @@ func symAnswers(t *testing.T, ix *GraphIndex, id int) []byte {
 // the tree_rebuilds counter does not move on the warm path.
 func TestIndexSymmetryWarmPathZeroBuilds(t *testing.T) {
 	rec := NewMetricsRecorder()
-	ix := NewGraphIndexWithOptions(IndexOptions{
+	ix := openMem(t, IndexOptions{
 		DviCL:     Options{Obs: rec},
 		TreeStore: &TreeStoreOptions{},
 	})
-	defer ix.Close()
 
 	var ids []int
 	for _, g := range indexTestGraphs() {
@@ -226,7 +225,9 @@ func TestIndexTreeStoreCorruptFallsBack(t *testing.T) {
 }
 
 // TestIndexSymmetryWithoutTreeStore: an index opened without a tree
-// store still answers every symmetry query by rebuilding per call.
+// store still answers every symmetry query by rebuilding per call —
+// one rebuild and no cache hit per sequential query — and reports no
+// tree-store stats.
 func TestIndexSymmetryWithoutTreeStore(t *testing.T) {
 	rec := NewMetricsRecorder()
 	ix := NewGraphIndex(Options{Obs: rec})
@@ -239,16 +240,21 @@ func TestIndexSymmetryWithoutTreeStore(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatal("storeless symmetry answers not deterministic")
 	}
-	if counterVal(t, rec, "tree_rebuilds") == 0 {
-		t.Fatal("storeless path should count rebuilds")
+	if got := counterVal(t, rec, "tree_rebuilds"); got != 8 {
+		t.Fatalf("storeless path: tree_rebuilds = %d, want 8 (one per query)", got)
+	}
+	if got := counterVal(t, rec, "treestore_mem_hits"); got != 0 {
+		t.Fatalf("storeless path: treestore_mem_hits = %d, want 0", got)
+	}
+	if st := ix.Stats(); st.TreeStore != nil {
+		t.Fatalf("storeless index reports tree-store stats: %+v", st.TreeStore)
 	}
 }
 
 // TestIndexSymmetryErrors: unknown ids and malformed SSM patterns return
 // the typed sentinels.
 func TestIndexSymmetryErrors(t *testing.T) {
-	ix := NewGraphIndexWithOptions(IndexOptions{TreeStore: &TreeStoreOptions{}})
-	defer ix.Close()
+	ix := openMem(t, IndexOptions{TreeStore: &TreeStoreOptions{}})
 	id, _, err := ix.Add(indexTestGraphs()[0])
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -35,7 +36,7 @@ func dumpNode(w io.Writer, nd *Node, depth, maxVerts int) error {
 	}
 	for i, c := range nd.Children {
 		marker := ""
-		if i > 0 && bytesEqualCore(c.Cert, nd.Children[i-1].Cert) {
+		if i > 0 && bytes.Equal(c.Cert, nd.Children[i-1].Cert) {
 			marker = "≅ " // symmetric to the previous sibling
 		}
 		if marker != "" {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"dvicl/internal/graph"
@@ -44,7 +45,7 @@ func KSymmetrize(t *Tree, k int) (*graph.Graph, error) {
 	var componentJobs, axisJobs []cloneJob
 	for i := 0; i < len(root.Children); {
 		j := i + 1
-		for j < len(root.Children) && bytesEqualCore(root.Children[j].Cert, root.Children[i].Cert) {
+		for j < len(root.Children) && bytes.Equal(root.Children[j].Cert, root.Children[i].Cert) {
 			j++
 		}
 		if m := j - i; m < k {
@@ -111,16 +112,4 @@ func KSymmetrize(t *Tree, k int) (*graph.Graph, error) {
 		}
 	}
 	return b.Build(), nil
-}
-
-func bytesEqualCore(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -191,13 +191,6 @@ func (tr *treeReader) bytes() []byte {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (tr *treeReader) fail(msg string) {
 	if tr.err == nil {
 		tr.err = fmt.Errorf("core: corrupt tree: %s: %w", msg, store.ErrChecksum)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"dvicl/internal/engine"
@@ -97,7 +98,7 @@ func (b *builder) wholeClassTwins() map[int][]int {
 		repNb := b.t.g.NeighborSlice(rep)
 		allTwins := true
 		for _, v := range members[1:] {
-			if !sameNeighbors(repNb, b.t.g.NeighborSlice(v)) {
+			if !slices.Equal(repNb, b.t.g.NeighborSlice(v)) {
 				allTwins = false
 				break
 			}
@@ -109,31 +110,33 @@ func (b *builder) wholeClassTwins() map[int][]int {
 	return out
 }
 
-func sameNeighbors(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// expandTwins restores collapsed twin classes. Every representative is
+// a singleton color class of the kept graph, so its singleton leaf is
+// either the root itself (the kept graph was that one vertex) or one of
+// the root's children, split off by the root's DivideI. Each
+// representative's leaf gains one sibling singleton leaf per twin, and
+// CombineST re-runs at the root alone — the only node whose children
+// change — so Verts, γg and certificates stay consistent. ts is the
+// twins span that CombineST run nests under. A representative anywhere
+// else is an internal error. When the root was the representative, the
+// result is its leaf plus the twins' leaves; otherwise it is the root.
+func (b *builder) expandTwins(root *Node, twinsOf map[int][]int, wk *worker, ts *obs.TraceSpan) ([]*Node, error) {
+	nodes := []*Node{root}
+	if root.Kind != KindSingleton {
+		nodes = root.Children
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	var out []*Node
+	found := 0
+	for _, nd := range nodes {
+		out = append(out, nd)
+		if nd.Kind != KindSingleton {
+			continue
 		}
-	}
-	return true
-}
-
-// expandTwins restores collapsed twin classes: a singleton leaf holding a
-// representative becomes that leaf plus one sibling singleton leaf per
-// twin; internal nodes re-run CombineST over the widened child list so
-// Verts, γg and certificates stay consistent. ts is the twins span those
-// CombineST runs nest under.
-func (b *builder) expandTwins(nd *Node, twinsOf map[int][]int, wk *worker, ts *obs.TraceSpan) ([]*Node, error) {
-	switch nd.Kind {
-	case KindSingleton:
 		twins, ok := twinsOf[nd.Verts[0]]
 		if !ok {
-			return []*Node{nd}, nil
+			continue
 		}
-		out := []*Node{nd}
+		found++
 		for _, v := range twins {
 			leaf := wk.slab.node()
 			verts := wk.slab.intSlice(1)
@@ -142,31 +145,15 @@ func (b *builder) expandTwins(nd *Node, twinsOf map[int][]int, wk *worker, ts *o
 			b.makeSingleton(leaf, wk)
 			out = append(out, leaf)
 		}
-		return out, nil
-	case KindLeaf:
-		// A collapsed representative's cell is a singleton in every
-		// subgraph, so it can never sit inside a non-singleton leaf.
-		for _, v := range nd.Verts {
-			if _, ok := twinsOf[v]; ok {
-				return nil, engine.Internalf("core.expandTwins",
-					"twin representative %d inside a non-singleton leaf", v)
-			}
-		}
-		return []*Node{nd}, nil
-	default:
-		var children []*Node
-		for _, c := range nd.Children {
-			sub, err := b.expandTwins(c, twinsOf, wk, ts)
-			if err != nil {
-				return nil, err
-			}
-			children = append(children, sub...)
-		}
-		nd.Children = children
-		// Re-run CombineST unconditionally: any expansion in the subtree
-		// changed child certificates, so the sort, γg and certificate must
-		// be recomputed.
-		b.combineST(nd, wk, ts)
-		return []*Node{nd}, nil
 	}
+	if found != len(twinsOf) {
+		return nil, engine.Internalf("core.expandTwins",
+			"%d of %d twin representatives are not singleton children of the root", len(twinsOf)-found, len(twinsOf))
+	}
+	if root.Kind == KindSingleton {
+		return out, nil
+	}
+	root.Children = out
+	b.combineST(root, wk, ts)
+	return []*Node{root}, nil
 }

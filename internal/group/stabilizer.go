@@ -2,6 +2,7 @@ package group
 
 import (
 	"math/rand"
+	"slices"
 
 	"dvicl/internal/perm"
 )
@@ -47,7 +48,7 @@ func (g *Group) OrbitOf(point int) []int {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -63,12 +64,4 @@ func (g *Group) RandomElement(r *rand.Rand) perm.Perm {
 		p = p.Compose(l.transversal(g.n, pt))
 	}
 	return p
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

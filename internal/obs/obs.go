@@ -95,60 +95,62 @@ const (
 	numCounters
 )
 
-var counterNames = [numCounters]string{
-	RefineCalls:        "refine_calls",
-	RefineRounds:       "refine_rounds",
-	CellSplits:         "cell_splits",
-	SearchNodes:        "search_nodes",
-	SearchLeaves:       "search_leaves",
-	PruneFirstPath:     "prune_first_path",
-	PruneBestPath:      "prune_best_path",
-	PruneOrbit:         "prune_orbit",
-	Automorphisms:      "automorphisms",
-	Backjumps:          "backjumps",
-	Truncations:        "truncations",
-	DivideICalls:       "divide_i_calls",
-	DivideSCalls:       "divide_s_calls",
-	LeafSearches:       "leaf_searches",
-	TwinVertsCollapsed: "twin_verts_collapsed",
+// counterInfo is the one table of per-counter metadata: the metric
+// name and the HELP line of its Prometheus family.
+var counterInfo = [numCounters]struct{ name, help string }{
+	RefineCalls:        {"refine_calls", "Equitable-refinement trace hashes computed (one per Refine)."},
+	RefineRounds:       {"refine_rounds", "Splitter cells processed off the refinement worklist."},
+	CellSplits:         {"cell_splits", "New cell fragments created by refinement splitting."},
+	SearchNodes:        {"search_nodes", "Search-tree nodes visited by the leaf engine."},
+	SearchLeaves:       {"search_leaves", "Discrete colorings (leaves) reached by the leaf engine."},
+	PruneFirstPath:     {"prune_first_path", "Subtrees cut by the first-path invariant (P_A)."},
+	PruneBestPath:      {"prune_best_path", "Subtrees cut by the best-path invariant (P_B)."},
+	PruneOrbit:         {"prune_orbit", "Candidates cut by orbit pruning (P_C)."},
+	Automorphisms:      {"automorphisms", "Distinct non-identity automorphism generators discovered."},
+	Backjumps:          {"backjumps", "Automorphism backjumps taken by the leaf engine."},
+	Truncations:        {"truncations", "Leaf searches aborted by MaxNodes or Deadline."},
+	DivideICalls:       {"divide_i_calls", "DivideI attempts (Algorithm 2)."},
+	DivideSCalls:       {"divide_s_calls", "DivideS attempts (Algorithm 3)."},
+	LeafSearches:       {"leaf_searches", "Non-singleton leaves labeled by the leaf engine."},
+	TwinVertsCollapsed: {"twin_verts_collapsed", "Vertices removed by twin simplification."},
 
-	SchedSteals:         "sched_steals",
-	SchedDequeHighWater: "sched_deque_high_water",
-	SSMQueries:          "ssm_queries",
-	SSMLeafCandidates:   "ssm_leaf_candidates",
-	SSMLeafPruned:       "ssm_leaf_pruned",
-	IndexAdds:           "index_adds",
-	IndexLookups:        "index_lookups",
-	CertCacheHits:       "cert_cache_hits",
-	CertCacheMisses:     "cert_cache_misses",
-	WALAppends:          "wal_appends",
-	WALReplayed:         "wal_replayed",
-	SnapshotsWritten:    "snapshots_written",
-	HTTPRequests:        "http_requests",
-	HTTPErrors:          "http_errors",
-	HTTPThrottled:       "http_throttled",
-	IndexAddDuplicate:   "index_add_duplicate",
-	BulkRecords:         "bulk_records",
-	BulkDecodeErrors:    "bulk_decode_errors",
-	IndexCanceled:       "index_canceled",
+	SchedSteals:         {"sched_steals", "Build tasks taken from another worker's deque."},
+	SchedDequeHighWater: {"sched_deque_high_water", "Deepest any single scheduler deque got during a build."},
+	SSMQueries:          {"ssm_queries", "SSM count/enumerate/key queries answered."},
+	SSMLeafCandidates:   {"ssm_leaf_candidates", "Candidate images generated at SSM leaf base cases."},
+	SSMLeafPruned:       {"ssm_leaf_pruned", "SM embeddings rejected by the symmetry check."},
+	IndexAdds:           {"index_adds", "GraphIndex.Add calls."},
+	IndexLookups:        {"index_lookups", "GraphIndex.Lookup calls."},
+	CertCacheHits:       {"cert_cache_hits", "Certificate LRU cache hits (DviCL build skipped)."},
+	CertCacheMisses:     {"cert_cache_misses", "Certificate LRU cache misses (DviCL build ran)."},
+	WALAppends:          {"wal_appends", "Records appended to the index WAL."},
+	WALReplayed:         {"wal_replayed", "WAL records replayed at index open."},
+	SnapshotsWritten:    {"snapshots_written", "Snapshot compactions completed."},
+	HTTPRequests:        {"http_requests", "HTTP requests received (all endpoints)."},
+	HTTPErrors:          {"http_errors", "HTTP responses with status >= 400 (includes throttled 503s)."},
+	HTTPThrottled:       {"http_throttled", "503s issued by the concurrency limiter."},
+	IndexAddDuplicate:   {"index_add_duplicate", "Adds that hit an existing isomorphism class."},
+	BulkRecords:         {"bulk_records", "Records read from bulk-ingest streams."},
+	BulkDecodeErrors:    {"bulk_decode_errors", "Bulk records rejected by the decoder."},
+	IndexCanceled:       {"index_canceled", "Builds aborted by request-context cancellation."},
 
-	TreeStoreMemHits:        "treestore_mem_hits",
-	TreeStoreDiskHits:       "treestore_disk_hits",
-	TreeRebuilds:            "tree_rebuilds",
-	TreeStorePuts:           "treestore_puts",
-	TreeStoreCorrupt:        "treestore_corrupt",
-	TreeStoreEvictions:      "treestore_evictions",
-	TreeStorePersistDropped: "treestore_persist_dropped",
-	SymmetryQueryOrbits:     "symmetry_query_orbits",
-	SymmetryQueryAutGroup:   "symmetry_query_autgroup",
-	SymmetryQueryQuotient:   "symmetry_query_quotient",
-	SymmetryQuerySSM:        "symmetry_query_ssm",
+	TreeStoreMemHits:        {"treestore_mem_hits", "Tree-store gets served from the decoded-tree memory cache."},
+	TreeStoreDiskHits:       {"treestore_disk_hits", "Tree-store gets served by decoding an on-disk record."},
+	TreeRebuilds:            {"tree_rebuilds", "AutoTrees rebuilt from their certificate (store miss or corruption)."},
+	TreeStorePuts:           {"treestore_puts", "AutoTree records persisted to disk."},
+	TreeStoreCorrupt:        {"treestore_corrupt", "Tree records dropped as corrupt (typed decode failure)."},
+	TreeStoreEvictions:      {"treestore_evictions", "Decoded trees evicted by the memory budget."},
+	TreeStorePersistDropped: {"treestore_persist_dropped", "Write-behind persists dropped by a full queue."},
+	SymmetryQueryOrbits:     {"symmetry_query_orbits", "Orbit-partition queries answered."},
+	SymmetryQueryAutGroup:   {"symmetry_query_autgroup", "Automorphism-group queries answered."},
+	SymmetryQueryQuotient:   {"symmetry_query_quotient", "Orbit-quotient queries answered."},
+	SymmetryQuerySSM:        {"symmetry_query_ssm", "Symmetric-subgraph-matching queries answered."},
 }
 
 // String returns the counter's snake_case metric name.
 func (c Counter) String() string {
 	if c >= 0 && c < numCounters {
-		return counterNames[c]
+		return counterInfo[c].name
 	}
 	return "unknown_counter"
 }

@@ -42,58 +42,6 @@ type PromGauge struct {
 	Value  float64
 }
 
-// counterHelp is the HELP line of each counter's Prometheus family.
-var counterHelp = [numCounters]string{
-	RefineCalls:        "Equitable-refinement trace hashes computed (one per Refine).",
-	RefineRounds:       "Splitter cells processed off the refinement worklist.",
-	CellSplits:         "New cell fragments created by refinement splitting.",
-	SearchNodes:        "Search-tree nodes visited by the leaf engine.",
-	SearchLeaves:       "Discrete colorings (leaves) reached by the leaf engine.",
-	PruneFirstPath:     "Subtrees cut by the first-path invariant (P_A).",
-	PruneBestPath:      "Subtrees cut by the best-path invariant (P_B).",
-	PruneOrbit:         "Candidates cut by orbit pruning (P_C).",
-	Automorphisms:      "Distinct non-identity automorphism generators discovered.",
-	Backjumps:          "Automorphism backjumps taken by the leaf engine.",
-	Truncations:        "Leaf searches aborted by MaxNodes or Deadline.",
-	DivideICalls:       "DivideI attempts (Algorithm 2).",
-	DivideSCalls:       "DivideS attempts (Algorithm 3).",
-	LeafSearches:       "Non-singleton leaves labeled by the leaf engine.",
-	TwinVertsCollapsed: "Vertices removed by twin simplification.",
-
-	SchedSteals:         "Build tasks taken from another worker's deque.",
-	SchedDequeHighWater: "Deepest any single scheduler deque got during a build.",
-	SSMQueries:          "SSM count/enumerate/key queries answered.",
-	SSMLeafCandidates:   "Candidate images generated at SSM leaf base cases.",
-	SSMLeafPruned:       "SM embeddings rejected by the symmetry check.",
-	IndexAdds:           "GraphIndex.Add calls.",
-	IndexLookups:        "GraphIndex.Lookup calls.",
-	CertCacheHits:       "Certificate LRU cache hits (DviCL build skipped).",
-	CertCacheMisses:     "Certificate LRU cache misses (DviCL build ran).",
-	WALAppends:          "Records appended to the index WAL.",
-	WALReplayed:         "WAL records replayed at index open.",
-	SnapshotsWritten:    "Snapshot compactions completed.",
-	HTTPRequests:        "HTTP requests received (all endpoints).",
-	HTTPErrors:          "HTTP responses with status >= 400 (includes throttled 503s).",
-	HTTPThrottled:       "503s issued by the concurrency limiter.",
-	IndexAddDuplicate:   "Adds that hit an existing isomorphism class.",
-	BulkRecords:         "Records read from bulk-ingest streams.",
-	BulkDecodeErrors:    "Bulk records rejected by the decoder.",
-	IndexCanceled:       "Builds aborted by request-context cancellation.",
-
-	TreeStoreMemHits:        "Tree-store gets served from the decoded-tree memory cache.",
-	TreeStoreDiskHits:       "Tree-store gets served by decoding an on-disk record.",
-	TreeRebuilds:            "AutoTrees rebuilt from their certificate (store miss or corruption).",
-	TreeStorePuts:           "AutoTree records persisted to disk.",
-	TreeStoreCorrupt:        "Tree records dropped as corrupt (typed decode failure).",
-	TreeStoreEvictions:      "Decoded trees evicted by the memory budget.",
-	TreeStorePersistDropped: "Write-behind persists dropped by a full queue.",
-
-	SymmetryQueryOrbits:   "Orbit-partition queries answered.",
-	SymmetryQueryAutGroup: "Automorphism-group queries answered.",
-	SymmetryQueryQuotient: "Orbit-quotient queries answered.",
-	SymmetryQuerySSM:      "Symmetric-subgraph-matching queries answered.",
-}
-
 // WriteProm renders the snapshot and gauges in the Prometheus text
 // exposition format. Counters appear in declaration order (all of them,
 // including zeros, so the scrape target's series set is stable); phase
@@ -104,7 +52,7 @@ func WriteProm(w io.Writer, s Snapshot, gauges []PromGauge) error {
 	bw := bufio.NewWriter(w)
 	for c := Counter(0); c < numCounters; c++ {
 		name := MetricsNamespace + "_" + c.String() + "_total"
-		fmt.Fprintf(bw, "# HELP %s %s\n", name, counterHelp[c])
+		fmt.Fprintf(bw, "# HELP %s %s\n", name, counterInfo[c].help)
 		fmt.Fprintf(bw, "# TYPE %s counter\n", name)
 		fmt.Fprintf(bw, "%s %d\n", name, s.Counters[c.String()])
 	}

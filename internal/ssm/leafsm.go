@@ -1,6 +1,8 @@
 package ssm
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 
 	"dvicl/internal/core"
@@ -71,7 +73,7 @@ func (ix *Index) leafOrbitSM(ctl *engine.Ctl, nd *core.Node, pattern []int, limi
 		if err != nil {
 			return nil, err
 		}
-		if !bytesEqual(cert, key) {
+		if !bytes.Equal(cert, key) {
 			pruned++
 			continue
 		}
@@ -82,7 +84,7 @@ func (ix *Index) leafOrbitSM(ctl *engine.Ctl, nd *core.Node, pattern []int, limi
 	}
 	ix.rec.Add(obs.SSMLeafCandidates, candidates)
 	ix.rec.Add(obs.SSMLeafPruned, pruned)
-	sort.Slice(out, func(i, j int) bool { return lessIntSlice(out[i], out[j]) })
+	slices.SortFunc(out, slices.Compare[[]int])
 	return out, nil
 }
 

@@ -1,11 +1,13 @@
 package ssm
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"dvicl/internal/canon"
@@ -85,7 +87,7 @@ func (ix *Index) nodeInfoOf(nd *core.Node) *nodeInfo {
 	}
 	start := 0
 	for i := 1; i <= len(nd.Children); i++ {
-		if i == len(nd.Children) || !bytesEqual(nd.Children[i].Cert, nd.Children[start].Cert) {
+		if i == len(nd.Children) || !bytes.Equal(nd.Children[i].Cert, nd.Children[start].Cert) {
 			gi := len(ni.groups)
 			ni.groups = append(ni.groups, [2]int{start, i})
 			for j := start; j < i; j++ {
@@ -210,18 +212,6 @@ func sortedCopy(s []int) []int {
 	out := append([]int(nil), s...)
 	sort.Ints(out)
 	return out
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // transport maps a pattern from sibling src into sibling dst via the
@@ -518,7 +508,7 @@ func (ix *Index) leafOrbit(ctl *engine.Ctl, nd *core.Node, pattern []int, limit 
 		}
 		out = append(out, glob)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessIntSlice(out[i], out[j]) })
+	slices.SortFunc(out, slices.Compare[[]int])
 	return out, nil
 }
 
@@ -529,15 +519,6 @@ func applySet(g perm.Perm, set []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // ---- orbit keys ----

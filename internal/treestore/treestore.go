@@ -232,6 +232,9 @@ func (s *Store) loadOrRebuild(ctx context.Context, rec *obs.Recorder, key [32]by
 		return nil, 0, err
 	}
 	warm(tree)
+	if s.dir == "" && s.opt.MemBudget < 0 {
+		return tree, 0, nil // nothing to persist, no cache to charge
+	}
 	var buf bytes.Buffer
 	if err := tree.Save(&buf); err != nil {
 		return nil, 0, engine.Internalf("treestore", "encode rebuilt tree: %v", err)
@@ -293,26 +296,6 @@ func (s *Store) buildOpts(rec *obs.Recorder) core.Options {
 // readers never race on the memo.
 func warm(t *core.Tree) {
 	t.AutOrder()
-}
-
-// Rebuild is the store's miss path as a standalone function: decode the
-// certificate and build its AutoTree under opt. Callers serving
-// symmetry queries without a treestore (the degraded path) use it; the
-// rebuild is counted on opt.Obs or the context trace.
-func Rebuild(ctx context.Context, cert []byte, opt core.Options) (*core.Tree, error) {
-	rec := obs.RecorderFor(ctx, opt.Obs)
-	g, _, err := canon.DecodeCertificate(cert)
-	if err != nil {
-		return nil, err
-	}
-	rec.Inc(obs.TreeRebuilds)
-	opt.Obs = rec
-	tree, err := core.BuildCtx(ctx, g, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	warm(tree)
-	return tree, nil
 }
 
 // insertLocked caches a decoded tree and evicts from the cold end until

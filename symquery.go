@@ -8,7 +8,6 @@ import (
 
 	"dvicl/internal/obs"
 	"dvicl/internal/ssm"
-	"dvicl/internal/treestore"
 )
 
 // Symmetry-query serving: answer orbit / automorphism-group / quotient /
@@ -50,18 +49,16 @@ func (ix *GraphIndex) certByID(id int) (string, *indexShard, error) {
 }
 
 // treeByID returns the (shared, read-only) AutoTree of the canonical
-// graph of id's isomorphism class: from the shard's tree store when the
-// index has one — memory hit, disk hit, or single-flight rebuild — and
-// by a direct per-call rebuild otherwise.
+// graph of id's isomorphism class from its shard's tree store: a memory
+// hit, a disk hit, or a single-flight rebuild (the only one of the three
+// when the index has no IndexOptions.TreeStore, as its stores then cache
+// nothing).
 func (ix *GraphIndex) treeByID(ctx context.Context, id int) (*AutoTree, error) {
 	cert, sh, err := ix.certByID(id)
 	if err != nil {
 		return nil, err
 	}
-	if sh.ts != nil {
-		return sh.ts.Get(ctx, []byte(cert))
-	}
-	return treestore.Rebuild(ctx, []byte(cert), ix.opt)
+	return sh.ts.Get(ctx, []byte(cert))
 }
 
 // symQuery wraps the shared per-query bookkeeping: counter, phase span
