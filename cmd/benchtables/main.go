@@ -20,7 +20,8 @@
 // (internal/perfbench) instead of the tables and writes a versioned
 // BENCH_<tag>.json artifact for cmd/benchdiff to compare:
 //
-//	benchtables -perfbench BENCH_PR10.json -perfbench-tag PR10
+//	benchtables -perfbench results/BENCH_PR15.json -perfbench-quick \
+//	            -perfbench-tag PR15
 //	benchtables -perfbench /tmp/BENCH_ci.json -perfbench-quick \
 //	            -profile-dir /tmp/pprof
 //

@@ -155,7 +155,11 @@ func main() {
 	if err := writeReport(*reportPath, &full); err != nil {
 		fatal(err)
 	}
-	writeMetrics(*metricsJSON, rec)
+	if *metricsJSON != "" {
+		if err := rec.Snapshot().WriteFile(*metricsJSON); err != nil {
+			log.Printf("bulkload: metrics: %v", err)
+		}
+	}
 	log.Printf("bulkload: %d records → %d graphs, %d classes, %d duplicates (%.0f graphs/sec, %d workers, %d shards)",
 		full.Records, full.GraphsAdded, full.IsoClasses, full.Duplicates,
 		full.GraphsPerSec, full.Workers, full.Shards)
@@ -223,21 +227,6 @@ func writeReport(path string, rep *report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-func writeMetrics(path string, rec *dvicl.MetricsRecorder) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Printf("bulkload: metrics: %v", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.Snapshot().WriteJSON(f); err != nil {
-		log.Printf("bulkload: metrics: %v", err)
-	}
 }
 
 func fatal(err error) {

@@ -117,7 +117,12 @@ func main() {
 		fatal(fmt.Errorf("unknown -algo %q", *algo))
 	}
 
-	writeMetrics(*metricsJSON, rec)
+	if *metricsJSON != "" {
+		if err := rec.Snapshot().WriteFile(*metricsJSON); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("metrics written to %s\n", *metricsJSON)
+	}
 }
 
 // newRecorder returns an enabled recorder when any observability output is
@@ -127,21 +132,6 @@ func newRecorder(metricsJSON, debugAddr string) *dvicl.MetricsRecorder {
 		return nil
 	}
 	return dvicl.NewMetricsRecorder()
-}
-
-func writeMetrics(path string, rec *dvicl.MetricsRecorder) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := rec.Snapshot().WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("metrics written to %s\n", path)
 }
 
 func printOrbits(orbits [][]int) {

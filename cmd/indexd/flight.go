@@ -122,7 +122,7 @@ type buildsResp struct {
 }
 
 // handleBuilds serves the flight recorder contents, newest first.
-func (f *flightRecorder) handleBuilds(w http.ResponseWriter, r *http.Request) {
+func (f *flightRecorder) handleBuilds(w http.ResponseWriter, r *http.Request) error {
 	f.mu.Lock()
 	resp := buildsResp{
 		SlowThresholdMs: f.slowThresh.Seconds() * 1000,
@@ -131,4 +131,5 @@ func (f *flightRecorder) handleBuilds(w http.ResponseWriter, r *http.Request) {
 	}
 	f.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }

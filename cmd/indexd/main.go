@@ -55,7 +55,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -166,26 +165,15 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("indexd: shutdown: %v", err)
 	}
-	if err := ix.Close(); err != nil && !errors.Is(err, dvicl.ErrIndexClosed) {
+	if err := ix.Close(); err != nil {
 		log.Printf("indexd: index close: %v", err)
 	}
-	writeMetrics(*metricsJSON, rec)
+	if *metricsJSON != "" {
+		if err := rec.Snapshot().WriteFile(*metricsJSON); err != nil {
+			log.Printf("indexd: metrics: %v", err)
+		} else {
+			fmt.Printf("metrics written to %s\n", *metricsJSON)
+		}
+	}
 	log.Printf("indexd: bye")
-}
-
-func writeMetrics(path string, rec *dvicl.MetricsRecorder) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Printf("indexd: metrics: %v", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.Snapshot().WriteJSON(f); err != nil {
-		log.Printf("indexd: metrics: %v", err)
-		return
-	}
-	fmt.Printf("metrics written to %s\n", path)
 }

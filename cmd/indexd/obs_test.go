@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -228,8 +229,8 @@ func TestFlightRecorderSlowRingSurvivesFastBursts(t *testing.T) {
 
 // TestThrottleCountsBothCounters pins the satellite invariant: a 503
 // from the admission limiter increments http_throttled AND http_errors
-// (the limiter responds through the same statusWriter instrumented
-// counts errors on).
+// (the limiter returns its rejection as an error, which instrumented
+// counts like any other).
 func TestThrottleCountsBothCounters(t *testing.T) {
 	rec := dvicl.NewMetricsRecorder()
 	ix := dvicl.NewGraphIndex(dvicl.Options{Obs: rec})
@@ -344,5 +345,93 @@ func TestBulkTraceDetached(t *testing.T) {
 	}
 	if rec.Trace.Counters["index_adds"] != 40 {
 		t.Fatalf("trace index_adds = %d, want 40", rec.Trace.Counters["index_adds"])
+	}
+}
+
+// TestDecodeErrorsCarryRequestID: a malformed body and an oversized one
+// are answered with the request's id in the JSON body, like every other
+// error on a traced endpoint.
+func TestDecodeErrorsCarryRequestID(t *testing.T) {
+	rec := dvicl.NewMetricsRecorder()
+	ix := dvicl.NewGraphIndex(dvicl.Options{Obs: rec})
+	srv := newServer(ix, rec, serverConfig{MaxInflight: 8, MaxVerts: 1 << 20, MaxBodyBytes: 64})
+	ts := httptest.NewServer(srv.handler(10 * time.Second))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		id, body string
+		status   int
+	}{
+		{"bad-body-1", `{"n":4,"edges":`, http.StatusBadRequest},
+		{"big-body-1", `{"graph6":"` + strings.Repeat("x", 256) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		req, err := http.NewRequest("POST", ts.URL+"/add", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", tc.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errResp
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: non-JSON error body: %v", tc.id, err)
+		}
+		if resp.StatusCode != tc.status || e.RequestID != tc.id || e.Error == "" {
+			t.Fatalf("%s: status %d, body %+v; want %d with request_id %s", tc.id, resp.StatusCode, e, tc.status, tc.id)
+		}
+	}
+}
+
+// TestBulkLeftWaitingForTokenIsCanceled: a /bulk whose client leaves
+// while the stream waits for its admission token is filed as a canceled
+// 503, not as a successful request.
+func TestBulkLeftWaitingForTokenIsCanceled(t *testing.T) {
+	ts, srv, rec := newObsServer(t)
+	for i := 0; i < cap(srv.sem); i++ {
+		srv.sem <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < cap(srv.sem); i++ {
+			<-srv.sem
+		}
+	}()
+
+	// An empty body lets the server watch the connection, so it sees the
+	// client leave while the handler still waits.
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/bulk", http.NoBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("/bulk answered %d while every admission token was taken", resp.StatusCode)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var builds buildsResp
+		if code := getJSON(t, ts.URL+"/debug/builds", &builds); code != http.StatusOK {
+			t.Fatalf("/debug/builds status %d", code)
+		}
+		if len(builds.Recent) == 1 {
+			b := builds.Recent[0]
+			if b.Endpoint != "bulk" || b.Status != http.StatusServiceUnavailable || b.Outcome != "canceled" {
+				t.Fatalf("bulk record = %+v, want a canceled 503", b)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned /bulk never reached the flight recorder")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := rec.Counter(obs.IndexCanceled); got != 1 {
+		t.Fatalf("index_canceled = %d, want 1", got)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"dvicl"
@@ -78,17 +77,12 @@ type statsResp struct {
 	Counters      map[string]int64 `json:"counters"`
 }
 
-// Request-size guardrails: batch fan-out and bulk chunking are bounded so
-// one request cannot exhaust the process. The JSON body cap is a flag
+// Request-size guardrails: batch fan-out is bounded so one request
+// cannot exhaust the process. The JSON body cap is a flag
 // (-max-body-bytes); these stay constants.
 const (
 	defaultMaxBodyBytes = 32 << 20
 	maxBatchOps         = 1024
-	// bulkChunkRecords is how many graph6 records the /bulk endpoint
-	// processes per admission token: large enough to amortize pool
-	// startup, small enough that interactive traffic interleaves with a
-	// long-running stream.
-	bulkChunkRecords = 256
 	// defaultFlightSize is each flight-recorder ring's capacity when
 	// -flight-recorder is unset.
 	defaultFlightSize = 64
@@ -120,17 +114,16 @@ type serverConfig struct {
 	Logger *slog.Logger
 }
 
-// server holds the daemon's state: the index, the recorder, the flight
-// recorder, and the admission control for graph-processing endpoints.
+// server holds the daemon's state: its resolved configuration, the
+// index, the recorder, the flight recorder, and the admission control for
+// graph-processing endpoints.
 type server struct {
-	ix           *dvicl.GraphIndex
-	rec          *dvicl.MetricsRecorder // alias of *obs.Recorder
-	sem          chan struct{}          // admission tokens for expensive endpoints
-	maxVerts     int
-	maxBodyBytes int64
-	bulkWorkers  int
-	flight       *flightRecorder
-	start        time.Time
+	serverConfig
+	ix     *dvicl.GraphIndex
+	rec    *dvicl.MetricsRecorder // alias of *obs.Recorder
+	sem    chan struct{}          // admission tokens for expensive endpoints
+	flight *flightRecorder
+	start  time.Time
 }
 
 func newServer(ix *dvicl.GraphIndex, rec *dvicl.MetricsRecorder, cfg serverConfig) *server {
@@ -144,12 +137,10 @@ func newServer(ix *dvicl.GraphIndex, rec *dvicl.MetricsRecorder, cfg serverConfi
 		cfg.FlightSize = defaultFlightSize
 	}
 	return &server{
+		serverConfig: cfg,
 		ix:           ix,
 		rec:          rec,
 		sem:          make(chan struct{}, cfg.MaxInflight),
-		maxVerts:     cfg.MaxVerts,
-		maxBodyBytes: cfg.MaxBodyBytes,
-		bulkWorkers:  cfg.BulkWorkers,
 		flight:       newFlightRecorder(cfg.FlightSize, cfg.SlowBuild, cfg.Logger),
 		start:        time.Now(),
 	}
@@ -157,8 +148,8 @@ func newServer(ix *dvicl.GraphIndex, rec *dvicl.MetricsRecorder, cfg serverConfi
 
 // handler assembles the full route table. timeout bounds each request end
 // to end (http.TimeoutHandler replies 503 when exceeded) — except /bulk,
-// which is a streaming ingest of unbounded duration and manages its own
-// backpressure per chunk instead.
+// which is a streaming ingest of unbounded duration and waits for its
+// admission token instead of being shed.
 func (s *server) handler(timeout time.Duration) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /add", s.limited(s.traced("add", s.handleAdd)))
@@ -184,18 +175,21 @@ func (s *server) handler(timeout time.Duration) http.Handler {
 	return outer
 }
 
-// instrumented counts the request, times it, and tracks error statuses.
-// Throttled 503s pass through the same statusWriter, so they are counted
-// in http_errors as well as http_throttled — an invariant pinned by
-// TestThrottleCountsBothCounters.
-func (s *server) instrumented(h http.HandlerFunc) http.HandlerFunc {
+// handlerFunc is an endpoint: it writes its own success response and
+// returns any failure, which instrumented answers through writeError.
+type handlerFunc func(http.ResponseWriter, *http.Request) error
+
+// instrumented counts and times the request, and answers a returned error
+// through writeError, counting it in http_errors. Throttled 503s are
+// returned errors too, so they count in http_errors as well as
+// http_throttled — an invariant pinned by TestThrottleCountsBothCounters.
+func (s *server) instrumented(h handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.rec.Inc(obs.HTTPRequests)
 		defer obs.StartUnder(s.rec, nil, obs.PhaseHTTP).End()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		if sw.status >= 400 {
+		if err := h(w, r); err != nil {
 			s.rec.Inc(obs.HTTPErrors)
+			s.writeError(w, err)
 		}
 	}
 }
@@ -203,55 +197,35 @@ func (s *server) instrumented(h http.HandlerFunc) http.HandlerFunc {
 // limited is instrumented plus admission control: when all tokens are
 // taken the request is rejected immediately with 503 + Retry-After —
 // backpressure, not an unbounded queue.
-func (s *server) limited(h http.HandlerFunc) http.HandlerFunc {
-	return s.instrumented(func(w http.ResponseWriter, r *http.Request) {
+func (s *server) limited(h handlerFunc) http.HandlerFunc {
+	return s.instrumented(func(w http.ResponseWriter, r *http.Request) error {
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		default:
 			s.rec.Inc(obs.HTTPThrottled)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errResp{Error: "server at capacity"})
-			return
+			return errAtCapacity
 		}
-		h(w, r)
+		return h(w, r)
 	})
 }
 
-// reqInfo is the per-request record the traced middleware and the
-// handlers share: identity, the live trace, the graph dimensions (filled
-// in once the body is decoded), and how the request ended.
+// reqInfo is what the traced middleware and the handlers share: identity,
+// the live trace, and the graph dimensions (filled in once the body is
+// decoded). A request's handler runs on one goroutine, so it needs no
+// lock.
 type reqInfo struct {
-	id string
-	tr *dvicl.Trace
-
-	mu      sync.Mutex
-	n, m    int
-	outcome string
-	errMsg  string
+	id   string
+	tr   *dvicl.Trace
+	n, m int
 }
 
 // noteGraph records the request's graph size (the largest seen, so a
 // batch reports its dominant graph).
 func (ri *reqInfo) noteGraph(n, m int) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	if n > ri.n {
+	if ri != nil && n > ri.n {
 		ri.n, ri.m = n, m
 	}
-	ri.mu.Unlock()
-}
-
-// fail records the terminal outcome of a failed request.
-func (ri *reqInfo) fail(outcome, msg string) {
-	if ri == nil {
-		return
-	}
-	ri.mu.Lock()
-	ri.outcome, ri.errMsg = outcome, msg
-	ri.mu.Unlock()
 }
 
 type reqInfoKey struct{}
@@ -291,97 +265,97 @@ func requestID(r *http.Request) string {
 // X-Request-Id response header and error bodies), a Trace on the context
 // that the build/lookup layers attach their span trees to, and — when the
 // request completes — a buildRecord filed in the flight recorder, with a
-// structured slow-build log line past the -slow-build threshold.
-func (s *server) traced(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// structured slow-build log line past the -slow-build threshold. The
+// record's status and outcome are those classify gives the returned
+// error.
+func (s *server) traced(endpoint string, h handlerFunc) handlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) error {
 		ri := &reqInfo{id: requestID(r)}
 		ri.tr = dvicl.NewTrace(ri.id, s.rec)
 		w.Header().Set("X-Request-Id", ri.id)
 		ctx := dvicl.WithTrace(r.Context(), ri.tr)
 		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		h(sw, r.WithContext(ctx))
+		err := h(w, r.WithContext(ctx))
 		ri.tr.Root().End()
 
-		ri.mu.Lock()
-		outcome, errMsg, n, m := ri.outcome, ri.errMsg, ri.n, ri.m
-		ri.mu.Unlock()
-		if outcome == "" {
-			if sw.status >= 400 {
-				outcome = "error"
-			} else {
-				outcome = "ok"
-			}
-		}
-		s.flight.record(buildRecord{
+		rec := buildRecord{
 			RequestID: ri.id,
 			Endpoint:  endpoint,
-			Status:    sw.status,
-			Outcome:   outcome,
-			Error:     errMsg,
-			GraphN:    n,
-			GraphM:    m,
+			Status:    http.StatusOK,
+			Outcome:   "ok",
+			GraphN:    ri.n,
+			GraphM:    ri.m,
 			Start:     start,
 			DurMs:     float64(time.Since(start)) / float64(time.Millisecond),
 			Trace:     ri.tr.Snapshot(),
-		})
-	}
-}
-
-// statusWriter records the status code for the error counter.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// writeErr sends a JSON error carrying the request id and records the
-// outcome on the request's reqInfo ("error" unless already set).
-func (s *server) writeErr(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	resp := errResp{Error: msg}
-	if ri := reqInfoFrom(r.Context()); ri != nil {
-		resp.RequestID = ri.id
-		ri.mu.Lock()
-		if ri.outcome == "" {
-			ri.outcome = "error"
 		}
-		ri.errMsg = msg
-		ri.mu.Unlock()
+		if err != nil {
+			f := classify(err)
+			rec.Status, rec.Outcome, rec.Error = f.status, f.outcome, f.msg
+		}
+		s.flight.record(rec)
+		return err
 	}
-	writeJSON(w, status, resp)
 }
 
-// buildError maps a certificate-build error onto an HTTP response,
-// reporting whether there was one to handle. A canceled build (client
-// disconnect, or the TimeoutHandler expiring the request context
-// mid-canonicalization) and an exhausted build budget are 503s — the
-// request was shed, not malformed; cancellations also bump
-// index_canceled so load shedding is visible in /stats. The outcome is
-// recorded on the request's reqInfo for the flight recorder.
-func (s *server) buildError(w http.ResponseWriter, r *http.Request, err error) bool {
-	ri := reqInfoFrom(r.Context())
+// failure is how a request's error is answered. The failures the server
+// raises itself — malformed input, an oversized body, a full admission
+// limiter, an index that is not ready — are returned as *failure
+// directly; classify maps every other error onto one.
+type failure struct {
+	status  int
+	msg     string // the JSON body's "error"
+	outcome string // the flight recorder's outcome: canceled, budget_exceeded or error
+	// retry adds Retry-After: 1 — the request was shed, not refused.
+	retry bool
+}
+
+func (f *failure) Error() string { return f.msg }
+
+func badRequest(format string, args ...any) error {
+	return &failure{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...), outcome: "error"}
+}
+
+// errAtCapacity is the admission limiter's rejection.
+var errAtCapacity = &failure{status: http.StatusServiceUnavailable, msg: "server at capacity", outcome: "error", retry: true}
+
+// classify is the one table from a handler's error to its answer. A
+// canceled build (client disconnect, or the TimeoutHandler expiring the
+// request context mid-canonicalization) and an exhausted build budget
+// are 503s: the request was shed, not malformed.
+func classify(err error) failure {
+	var f *failure
 	switch {
-	case err == nil:
-		return false
+	case errors.As(err, &f):
+		return *f
 	case errors.Is(err, dvicl.ErrCanceled):
-		s.rec.Inc(obs.IndexCanceled)
-		ri.fail("canceled", err.Error())
-		w.Header().Set("Retry-After", "1")
-		s.writeErr(w, r, http.StatusServiceUnavailable, "request canceled")
+		return failure{status: http.StatusServiceUnavailable, msg: "request canceled", outcome: "canceled", retry: true}
 	case errors.Is(err, dvicl.ErrBudgetExceeded):
-		ri.fail("budget_exceeded", err.Error())
-		s.writeErr(w, r, http.StatusServiceUnavailable, "build budget exceeded")
+		return failure{status: http.StatusServiceUnavailable, msg: "build budget exceeded", outcome: "budget_exceeded"}
 	case errors.Is(err, dvicl.ErrIndexClosed):
-		s.writeErr(w, r, http.StatusServiceUnavailable, err.Error())
-	default:
-		s.writeErr(w, r, http.StatusInternalServerError, err.Error())
+		return failure{status: http.StatusServiceUnavailable, msg: err.Error(), outcome: "error"}
+	case errors.Is(err, dvicl.ErrUnknownID):
+		return failure{status: http.StatusNotFound, msg: err.Error(), outcome: "error"}
+	case errors.Is(err, dvicl.ErrInvalidPattern):
+		return failure{status: http.StatusBadRequest, msg: err.Error(), outcome: "error"}
 	}
-	return true
+	return failure{status: http.StatusInternalServerError, msg: err.Error(), outcome: "error"}
+}
+
+// writeError sends classify's answer as a JSON error. The body carries
+// the request id that traced set in the X-Request-Id header; a canceled
+// request also counts in index_canceled, so load shedding is visible in
+// /stats.
+func (s *server) writeError(w http.ResponseWriter, err error) {
+	f := classify(err)
+	if f.outcome == "canceled" {
+		s.rec.Inc(obs.IndexCanceled)
+	}
+	if f.retry {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, f.status, errResp{Error: f.msg, RequestID: w.Header().Get("X-Request-Id")})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -390,98 +364,101 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decodeGraph validates and materializes the graph of a request body.
+// decodeGraph validates and materializes the graph of a request body or
+// /bulk record. A graph6 graph's size header is checked against
+// -max-verts before anything is decoded: the data section spends one bit
+// per vertex pair, so a short body can claim a graph whose decoding would
+// take gigabytes.
 func (s *server) decodeGraph(req *graphReq) (*dvicl.Graph, error) {
 	if req.Graph6 != "" {
-		g, err := dvicl.FromGraph6(req.Graph6)
-		if err != nil {
-			return nil, fmt.Errorf("graph6: %w", err)
+		if n, _, err := graph.Graph6Order(req.Graph6); err == nil && n > s.MaxVerts {
+			return nil, badRequest("graph has %d vertices, limit %d", n, s.MaxVerts)
 		}
-		if g.N() > s.maxVerts {
-			return nil, fmt.Errorf("graph has %d vertices, limit %d", g.N(), s.maxVerts)
+		g, err := graph.FromGraph6(req.Graph6)
+		if err != nil {
+			return nil, badRequest("%v", err)
 		}
 		return g, nil
 	}
-	if req.N < 0 || req.N > s.maxVerts {
-		return nil, fmt.Errorf("n=%d out of range [0,%d]", req.N, s.maxVerts)
+	if req.N < 0 || req.N > s.MaxVerts {
+		return nil, badRequest("n=%d out of range [0,%d]", req.N, s.MaxVerts)
 	}
 	for _, e := range req.Edges {
 		if e[0] < 0 || e[0] >= req.N || e[1] < 0 || e[1] >= req.N {
-			return nil, fmt.Errorf("edge [%d,%d] out of range [0,%d)", e[0], e[1], req.N)
+			return nil, badRequest("edge [%d,%d] out of range [0,%d)", e[0], e[1], req.N)
 		}
 	}
 	return dvicl.FromEdges(req.N, req.Edges), nil
 }
 
 // decodeBody JSON-decodes a request body under the -max-body-bytes cap.
-// An oversized body is a 413 with a JSON error — MaxBytesReader cuts the
-// read off at the limit, so a huge payload never reaches the decoder's
-// buffers, let alone the heap.
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
+// An oversized body is a 413 — MaxBytesReader cuts the read off at the
+// limit, so a huge payload never reaches the decoder's buffers, let alone
+// the heap.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errResp{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
+			return &failure{
+				status:  http.StatusRequestEntityTooLarge,
+				msg:     fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+				outcome: "error",
+			}
 		}
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "bad request body: " + err.Error()})
-		return false
+		return badRequest("bad request body: %v", err)
 	}
-	return true
+	return nil
 }
 
-func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleAdd(w http.ResponseWriter, r *http.Request) error {
 	var req graphReq
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := s.decodeBody(w, r, &req); err != nil {
+		return err
 	}
 	g, err := s.decodeGraph(&req)
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
 	reqInfoFrom(r.Context()).noteGraph(g.N(), g.M())
 	id, dup, err := s.ix.AddCtx(r.Context(), g)
-	if s.buildError(w, r, err) {
-		return
+	if err != nil {
+		return err
 	}
 	writeJSON(w, http.StatusOK, addResp{ID: id, Duplicate: dup})
+	return nil
 }
 
-func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleLookup(w http.ResponseWriter, r *http.Request) error {
 	var req graphReq
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := s.decodeBody(w, r, &req); err != nil {
+		return err
 	}
 	g, err := s.decodeGraph(&req)
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
 	reqInfoFrom(r.Context()).noteGraph(g.N(), g.M())
 	ids, err := s.ix.LookupCtx(r.Context(), g)
-	if s.buildError(w, r, err) {
-		return
+	if err != nil {
+		return err
 	}
 	if ids == nil {
 		ids = []int{}
 	}
 	writeJSON(w, http.StatusOK, lookupResp{IDs: ids})
+	return nil
 }
 
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	var req batchReq
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := s.decodeBody(w, r, &req); err != nil {
+		return err
 	}
 	if len(req.Ops) > maxBatchOps {
-		s.writeErr(w, r, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d ops exceeds limit %d", len(req.Ops), maxBatchOps))
-		return
+		return badRequest("batch of %d ops exceeds limit %d", len(req.Ops), maxBatchOps)
 	}
 	resp := batchResp{Results: make([]batchResult, len(req.Ops))}
 	for i := range req.Ops {
@@ -495,177 +472,112 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		reqInfoFrom(r.Context()).noteGraph(g.N(), g.M())
 		switch op.Op {
 		case "add":
-			id, dup, err := s.ix.AddCtx(r.Context(), g)
-			if err != nil {
-				// A canceled/over-budget request is dead as a whole, not
-				// per-op: stop burning CPU on the remaining ops.
-				if errors.Is(err, dvicl.ErrCanceled) || errors.Is(err, dvicl.ErrBudgetExceeded) {
-					s.buildError(w, r, err)
-					return
-				}
-				res.Error = err.Error()
-				continue
+			var id int
+			var dup bool
+			if id, dup, err = s.ix.AddCtx(r.Context(), g); err == nil {
+				res.ID, res.Duplicate = &id, &dup
 			}
-			res.ID, res.Duplicate = &id, &dup
 		case "lookup":
-			ids, err := s.ix.LookupCtx(r.Context(), g)
-			if err != nil {
-				if errors.Is(err, dvicl.ErrCanceled) || errors.Is(err, dvicl.ErrBudgetExceeded) {
-					s.buildError(w, r, err)
-					return
-				}
-				res.Error = err.Error()
-				continue
+			var ids []int
+			if ids, err = s.ix.LookupCtx(r.Context(), g); err == nil {
+				res.IDs = ids
 			}
-			if ids == nil {
-				ids = []int{}
-			}
-			res.IDs = ids
 		default:
-			res.Error = fmt.Sprintf("unknown op %q (want add or lookup)", op.Op)
+			err = fmt.Errorf("unknown op %q (want add or lookup)", op.Op)
+		}
+		// A canceled or over-budget request is dead as a whole, not per
+		// op: shed it rather than burn CPU on the remaining ops.
+		if errors.Is(err, dvicl.ErrCanceled) || errors.Is(err, dvicl.ErrBudgetExceeded) {
+			return err
+		}
+		if err != nil {
+			res.Error = err.Error()
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // handleBulk streams a graph6 body — one record per line, arbitrarily
-// many — through the parallel canonicalization pipeline into the index.
-// It is mounted outside the TimeoutHandler and the JSON body cap: the
-// body is consumed incrementally (never buffered whole), and
-// backpressure is applied per chunk instead of per request. Each chunk
-// of bulkChunkRecords records takes one admission token from the same
-// semaphore as /add, so a long-running stream shares capacity with
-// interactive traffic rather than starving it.
-func (s *server) handleBulk(w http.ResponseWriter, r *http.Request) {
+// many — through one pipeline run into the index. It is mounted outside
+// the TimeoutHandler and the JSON body cap: the body is consumed
+// incrementally (never buffered whole). The stream waits for one
+// admission token from the same semaphore as /add and holds it until the
+// stream ends.
+func (s *server) handleBulk(w http.ResponseWriter, r *http.Request) error {
 	// The server's read/write deadlines are sized for request/response
-	// endpoints; a bulk stream legitimately runs longer. Clear them for
-	// this connection (admission control still bounds the work rate).
+	// endpoints; a bulk stream legitimately runs longer.
 	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Time{})
-	_ = rc.SetWriteDeadline(time.Time{})
-
-	decode := func(raw string) (*dvicl.Graph, error) {
-		g, err := graph.FromGraph6(raw)
-		if err != nil {
-			return nil, err
-		}
-		if g.N() > s.maxVerts {
-			return nil, fmt.Errorf("graph has %d vertices, limit %d", g.N(), s.maxVerts)
-		}
-		return g, nil
+	if err := rc.SetReadDeadline(time.Time{}); err != nil {
+		return err
 	}
-
-	var total bulkResp
-	const maxErrors = 20
-	start := time.Now()
-	runChunk := func(chunk []string, firstLine int) (int, error) {
-		select {
-		case s.sem <- struct{}{}:
-		case <-r.Context().Done():
-			return 0, r.Context().Err() // client gone; status is moot
-		}
+	if err := rc.SetWriteDeadline(time.Time{}); err != nil {
+		return err
+	}
+	ctx := r.Context()
+	select {
+	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
-		rep, err := pipeline.Run(pipeline.Config{
-			Ctx:     r.Context(),
-			Workers: s.bulkWorkers,
-			Decode:  decode,
-			Canon:   s.ix.BuildCert,
-			Apply: func(seq int64, cert string) error {
-				_, dup, err := s.ix.AddCertCtx(r.Context(), cert)
-				if err != nil {
-					return err
-				}
-				if dup {
-					total.Duplicates++
-				} else {
-					total.NewClasses++
-				}
-				return nil
-			},
-			Obs: s.rec,
-		}, pipeline.SliceSource(chunk, firstLine))
-		total.Records += rep.Records
-		total.Applied += rep.Applied
-		total.DecodeErrors += rep.DecodeErrors
-		for _, e := range rep.Errors {
-			if len(total.Errors) < maxErrors {
-				total.Errors = append(total.Errors, e)
-			}
-		}
-		if err != nil {
-			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, dvicl.ErrCanceled):
-				s.rec.Inc(obs.IndexCanceled)
-				reqInfoFrom(r.Context()).fail("canceled", err.Error())
-				status = http.StatusServiceUnavailable
-			case errors.Is(err, dvicl.ErrBudgetExceeded):
-				reqInfoFrom(r.Context()).fail("budget_exceeded", err.Error())
-				status = http.StatusServiceUnavailable
-			case errors.Is(err, dvicl.ErrIndexClosed):
-				status = http.StatusServiceUnavailable
-			}
-			return status, err
-		}
-		return 0, nil
+	case <-ctx.Done():
+		return fmt.Errorf("%w: waiting for admission: %v", dvicl.ErrCanceled, context.Cause(ctx))
 	}
 
+	var resp bulkResp
 	sc := graph.NewGraph6Scanner(r.Body)
-	chunk := make([]string, 0, bulkChunkRecords)
-	for {
-		chunk = chunk[:0]
-		firstLine := 0
-		for len(chunk) < bulkChunkRecords && sc.Scan() {
-			if firstLine == 0 {
-				firstLine = sc.Line()
+	rep, err := pipeline.Run(pipeline.Config{
+		Ctx:     ctx,
+		Workers: s.BulkWorkers,
+		Decode:  func(raw string) (*dvicl.Graph, error) { return s.decodeGraph(&graphReq{Graph6: raw}) },
+		Canon:   s.ix.BuildCert,
+		Apply: func(_ int64, cert string) error {
+			_, dup, err := s.ix.AddCertCtx(ctx, cert)
+			if err != nil {
+				return err
 			}
-			chunk = append(chunk, sc.Text())
-		}
-		if len(chunk) == 0 {
-			break
-		}
-		if status, err := runChunk(chunk, firstLine); err != nil {
-			if status != 0 {
-				s.writeErr(w, r, status, err.Error())
+			if dup {
+				resp.Duplicates++
+			} else {
+				resp.NewClasses++
 			}
-			return
-		}
-	}
+			return nil
+		},
+		Obs: s.rec,
+	}, pipeline.ScannerSource(sc))
+	// Run has joined its reader, so the scanner is no longer in use.
 	if err := sc.Err(); err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, "read stream: "+err.Error())
-		return
+		return badRequest("read stream: %v", err)
 	}
-
-	total.Workers = s.bulkWorkers
-	total.ElapsedSeconds = time.Since(start).Seconds()
-	if total.ElapsedSeconds > 0 {
-		total.GraphsPerSec = float64(total.Applied) / total.ElapsedSeconds
+	if err != nil {
+		return err
 	}
-	total.Index = s.ix.Stats()
-	writeJSON(w, http.StatusOK, total)
+	resp.Report = *rep
+	resp.Index = s.ix.Stats()
+	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) error {
 	if err := s.ix.Flush(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errResp{Error: err.Error()})
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, s.ix.Stats())
+	return nil
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	writeJSON(w, http.StatusOK, statsResp{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Index:         s.ix.Stats(),
 		Counters:      s.rec.Snapshot().Counters,
 	})
+	return nil
 }
 
 // handleMetrics serves the Prometheus text exposition: every counter as
 // a dvicl_*_total series, the phase timers as one histogram family, and
 // the live IndexStats as gauges (including a per-shard graphs series for
 // watching the certificate hash balance).
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	st := s.ix.Stats()
 	gauges := []obs.PromGauge{
 		{Name: "index_graphs", Help: "Graphs stored in the index.", Value: float64(st.Graphs)},
@@ -692,10 +604,14 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
+	// An error here is a failed write to the client; there is no one
+	// left to answer.
 	_ = obs.WriteProm(w, s.rec.Snapshot(), gauges)
+	return nil
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
+	return nil
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -218,7 +221,7 @@ func TestBackpressure(t *testing.T) {
 
 	// Hold the only token.
 	release := make(chan struct{})
-	blocked := srv.limited(func(w http.ResponseWriter, r *http.Request) { <-release })
+	blocked := srv.limited(func(w http.ResponseWriter, r *http.Request) error { <-release; return nil })
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -236,8 +239,9 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	w := httptest.NewRecorder()
-	srv.limited(func(http.ResponseWriter, *http.Request) {
+	srv.limited(func(http.ResponseWriter, *http.Request) error {
 		t.Error("second request should have been rejected")
+		return nil
 	})(w, httptest.NewRequest("POST", "/add", bytes.NewReader([]byte(c4Body))))
 	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
 		t.Fatalf("throttled response: code=%d headers=%v", w.Code, w.Header())
@@ -270,12 +274,12 @@ func bulkStream(t *testing.T, k, classes int) string {
 	return sb.String()
 }
 
-// TestBulkEndpoint streams more records than one admission chunk through
-// /bulk and checks that the report and the index agree on classes and
-// duplicates — and that the stream interoperates with /lookup.
+// TestBulkEndpoint streams hundreds of records through /bulk and checks
+// that the report and the index agree on classes and duplicates — and
+// that the stream interoperates with /lookup.
 func TestBulkEndpoint(t *testing.T) {
 	ts, ix := newTestServer(t, "")
-	const k, classes = 600, 7 // 3 chunks of bulkChunkRecords=256
+	const k, classes = 600, 7
 	stream := bulkStream(t, k, classes)
 
 	var rep bulkResp
@@ -413,4 +417,112 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 			t.Fatalf("lookup %d after restart: %v != %v", i, lk.IDs, before[i].IDs)
 		}
 	}
+}
+
+// TestBulkOutlivesReadTimeout: /bulk clears the server's read and write
+// deadlines, so a stream that arrives more slowly than ReadTimeout is
+// applied in full.
+func TestBulkOutlivesReadTimeout(t *testing.T) {
+	rec := dvicl.NewMetricsRecorder()
+	ix := dvicl.NewGraphIndex(dvicl.Options{Obs: rec})
+	srv := newServer(ix, rec, serverConfig{MaxInflight: 8, MaxVerts: 1 << 20})
+	ts := httptest.NewUnstartedServer(srv.handler(10 * time.Second))
+	ts.Config.ReadTimeout = 200 * time.Millisecond
+	ts.Config.WriteTimeout = 200 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+
+	const k = 8
+	lines := strings.SplitAfter(bulkStream(t, k, k), "\n")
+	pr, pw := io.Pipe()
+	go func() {
+		for _, line := range lines {
+			if _, err := io.WriteString(pw, line); err != nil {
+				return
+			}
+			time.Sleep(60 * time.Millisecond)
+		}
+		pw.Close()
+	}()
+	resp, err := http.Post(ts.URL+"/bulk", "text/plain", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep bulkResp
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || rep.Applied != k {
+		t.Fatalf("slow /bulk: status %d, applied %d of %d", resp.StatusCode, rep.Applied, k)
+	}
+}
+
+// TestFlushClosedIndexIs503: /flush after shutdown has closed a durable
+// index answers 503, like every other endpoint on a closed index.
+func TestFlushClosedIndexIs503(t *testing.T) {
+	ts, ix := newTestServer(t, t.TempDir())
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var e errResp
+	if code := postJSON(t, ts.URL+"/flush", ``, &e); code != http.StatusServiceUnavailable || e.Error == "" {
+		t.Fatalf("/flush on a closed index: status %d, error %q", code, e.Error)
+	}
+}
+
+// TestGraph6OverMaxVertsAllocatesLittle: a graph6 /add over -max-verts is
+// rejected from its size header. The body is 750 KB, but it encodes
+// K_3000, which decodes into about 240 MB of adjacency.
+func TestGraph6OverMaxVertsAllocatesLittle(t *testing.T) {
+	rec := dvicl.NewMetricsRecorder()
+	ix := dvicl.NewGraphIndex(dvicl.Options{Obs: rec})
+	srv := newServer(ix, rec, serverConfig{MaxInflight: 8, MaxVerts: 100})
+	const n = 3000
+	header := string([]byte{126, 63 + n>>12, 63 + n>>6&63, 63 + n&63})
+	g6 := header + strings.Repeat("~", (n*(n-1)/2+5)/6)
+	body := []byte(`{"graph6":"` + g6 + `"}`)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := httptest.NewRecorder()
+	srv.limited(srv.traced("add", srv.handleAdd))(w, httptest.NewRequest("POST", "/add", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Fatalf("rejecting a %d-vertex graph6 body allocated %d bytes, want < 8 MiB", n, alloc)
+	}
+}
+
+// FuzzDecodeGraph: arbitrary request bodies through decodeBody and
+// decodeGraph never panic, every error answers 400 or 413, and every
+// accepted graph respects -max-verts.
+func FuzzDecodeGraph(f *testing.F) {
+	for _, seed := range []string{
+		c4Body, `{"graph6":"Cr"}`, `{"graph6":"~??~"}`, `{"graph6":"~?@?"}`,
+		`{"n":65,"edges":[]}`, `{"n":2,"edges":[[0,5]]}`, `not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	const maxVerts = 64
+	srv := newServer(nil, nil, serverConfig{MaxVerts: maxVerts, MaxBodyBytes: 1 << 12})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req graphReq
+		err := srv.decodeBody(httptest.NewRecorder(), httptest.NewRequest("POST", "/add", bytes.NewReader(body)), &req)
+		if err == nil {
+			var g *dvicl.Graph
+			if g, err = srv.decodeGraph(&req); err == nil && g.N() > maxVerts {
+				t.Fatalf("accepted a graph with %d vertices, limit %d", g.N(), maxVerts)
+			}
+		}
+		if err != nil {
+			if st := classify(err).status; st != http.StatusBadRequest && st != http.StatusRequestEntityTooLarge {
+				t.Fatalf("error %q answers %d, want 400 or 413", err, st)
+			}
+		}
+	})
 }

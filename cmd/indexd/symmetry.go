@@ -1,12 +1,9 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-
-	"dvicl"
 )
 
 // Symmetry-query endpoints: answer orbit / automorphism-group / quotient
@@ -60,59 +57,40 @@ type ssmResp struct {
 func queryID(r *http.Request) (int, error) {
 	raw := r.URL.Query().Get("id")
 	if raw == "" {
-		return 0, errors.New("missing id parameter")
+		return 0, badRequest("missing id parameter")
 	}
 	id, err := strconv.Atoi(raw)
 	if err != nil {
-		return 0, fmt.Errorf("bad id %q", raw)
+		return 0, badRequest("bad id %q", raw)
 	}
 	return id, nil
 }
 
-// symmetryError maps a symmetry-query failure onto an HTTP response,
-// reporting whether there was one: unknown ids are 404, malformed
-// patterns 400, and build failures (cancellation, budget, closed index)
-// go through the shared buildError mapping.
-func (s *server) symmetryError(w http.ResponseWriter, r *http.Request, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, dvicl.ErrUnknownID):
-		s.writeErr(w, r, http.StatusNotFound, err.Error())
-		return true
-	case errors.Is(err, dvicl.ErrInvalidPattern):
-		s.writeErr(w, r, http.StatusBadRequest, err.Error())
-		return true
-	}
-	return s.buildError(w, r, err)
-}
-
-func (s *server) handleOrbits(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleOrbits(w http.ResponseWriter, r *http.Request) error {
 	id, err := queryID(r)
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
 	orbits, err := s.ix.OrbitsCtx(r.Context(), id)
-	if s.symmetryError(w, r, err) {
-		return
+	if err != nil {
+		return err
 	}
 	n := 0
 	for _, o := range orbits {
 		n += len(o)
 	}
 	writeJSON(w, http.StatusOK, orbitsResp{ID: id, N: n, Orbits: orbits})
+	return nil
 }
 
-func (s *server) handleAutGroup(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleAutGroup(w http.ResponseWriter, r *http.Request) error {
 	id, err := queryID(r)
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
 	order, gens, err := s.ix.AutGroupCtx(r.Context(), id)
-	if s.symmetryError(w, r, err) {
-		return
+	if err != nil {
+		return err
 	}
 	resp := autgroupResp{ID: id, Order: order.String(), Generators: make([]sparsePermResp, len(gens))}
 	for i, g := range gens {
@@ -124,17 +102,17 @@ func (s *server) handleAutGroup(w http.ResponseWriter, r *http.Request) {
 		resp.Generators[i] = sparsePermResp{N: g.N, Moved: moved}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *server) handleQuotient(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleQuotient(w http.ResponseWriter, r *http.Request) error {
 	id, err := queryID(r)
 	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
 	q, err := s.ix.QuotientCtx(r.Context(), id)
-	if s.symmetryError(w, r, err) {
-		return
+	if err != nil {
+		return err
 	}
 	edges := q.Graph.Edges()
 	if edges == nil {
@@ -147,21 +125,20 @@ func (s *server) handleQuotient(w http.ResponseWriter, r *http.Request) {
 		Edges:     edges,
 		OrbitOf:   q.OrbitOf,
 	})
+	return nil
 }
 
-func (s *server) handleSSM(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleSSM(w http.ResponseWriter, r *http.Request) error {
 	var req ssmReq
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := s.decodeBody(w, r, &req); err != nil {
+		return err
 	}
 	if req.Limit < 0 || req.Limit > maxSSMImages {
-		s.writeErr(w, r, http.StatusBadRequest,
-			fmt.Sprintf("limit %d out of range [0,%d]", req.Limit, maxSSMImages))
-		return
+		return badRequest("limit %d out of range [0,%d]", req.Limit, maxSSMImages)
 	}
 	count, images, err := s.ix.SSMCtx(r.Context(), req.ID, req.Pattern, req.Limit)
-	if s.symmetryError(w, r, err) {
-		return
+	if err != nil {
+		return err
 	}
 	if req.Pattern == nil {
 		req.Pattern = []int{}
@@ -172,17 +149,18 @@ func (s *server) handleSSM(w http.ResponseWriter, r *http.Request) {
 		Count:   count.String(),
 		Images:  images,
 	})
+	return nil
 }
 
 // handleReadyz is the readiness probe: 200 when the index can serve and
 // persist (open, data directory writable), 503 otherwise. Distinct from
 // /healthz, which only answers "the process is up" — a daemon whose disk
 // filled is alive but not ready.
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 	if err := s.ix.Ready(); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errResp{Error: err.Error()})
-		return
+		return &failure{status: http.StatusServiceUnavailable, msg: err.Error(), outcome: "error"}
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ready")
+	return nil
 }

@@ -50,39 +50,29 @@ func main() {
 	g1 := load(flag.Arg(0), *format)
 	g2 := load(flag.Arg(1), *format)
 	fmt.Printf("a: n=%d m=%d   b: n=%d m=%d\n", g1.N(), g1.M(), g2.N(), g2.M())
+	status := 1
 	if g1.N() != g2.N() || g1.M() != g2.M() {
 		fmt.Println("NOT isomorphic (size mismatch)")
-		writeMetrics(*metricsJSON, rec)
-		os.Exit(1)
+	} else {
+		start := time.Now()
+		iso := dvicl.IsomorphicOpt(g1, g2, dvicl.Options{Obs: rec})
+		elapsed := time.Since(start).Round(time.Microsecond)
+		if iso {
+			fmt.Printf("ISOMORPHIC (decided in %v)\n", elapsed)
+			_, order := dvicl.AutomorphismGroup(g1)
+			fmt.Printf("|Aut| = %v\n", order)
+			status = 0
+		} else {
+			fmt.Printf("NOT isomorphic (decided in %v)\n", elapsed)
+		}
 	}
-	start := time.Now()
-	iso := dvicl.IsomorphicOpt(g1, g2, dvicl.Options{Obs: rec})
-	elapsed := time.Since(start).Round(time.Microsecond)
-	if iso {
-		fmt.Printf("ISOMORPHIC (decided in %v)\n", elapsed)
-		_, order := dvicl.AutomorphismGroup(g1)
-		fmt.Printf("|Aut| = %v\n", order)
-		writeMetrics(*metricsJSON, rec)
-		os.Exit(0)
+	if *metricsJSON != "" {
+		if err := rec.Snapshot().WriteFile(*metricsJSON); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("metrics written to %s\n", *metricsJSON)
 	}
-	fmt.Printf("NOT isomorphic (decided in %v)\n", elapsed)
-	writeMetrics(*metricsJSON, rec)
-	os.Exit(1)
-}
-
-func writeMetrics(path string, rec *dvicl.MetricsRecorder) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := rec.Snapshot().WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("metrics written to %s\n", path)
+	os.Exit(status)
 }
 
 func load(path, format string) *dvicl.Graph {

@@ -75,7 +75,14 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("debug server: http://%s/debug/pprof/\n", srv.Addr)
 	}
-	defer writeMetrics(*metricsJSON, rec)
+	if *metricsJSON != "" {
+		defer func() {
+			if err := rec.Snapshot().WriteFile(*metricsJSON); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("metrics written to %s\n", *metricsJSON)
+		}()
+	}
 	f, err := os.Open(*graphPath)
 	if err != nil {
 		fatal(err)
@@ -152,21 +159,6 @@ func clusterTriangles(g *dvicl.Graph, ix *dvicl.SSMIndex, limit int) {
 	}
 	fmt.Printf("triangles: %d, symmetry clusters: %d, largest cluster: %d (in %v)\n",
 		total, len(counts), max, time.Since(start).Round(time.Millisecond))
-}
-
-func writeMetrics(path string, rec *dvicl.MetricsRecorder) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := rec.Snapshot().WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("metrics written to %s\n", path)
 }
 
 func fatal(err error) {

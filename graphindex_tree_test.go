@@ -274,6 +274,27 @@ func TestIndexSymmetryErrors(t *testing.T) {
 	}
 }
 
+// TestSymmetryQueryCountersCountAnswers: the symmetry_query_* counters
+// count answered queries; a query for an unknown id is not one.
+func TestSymmetryQueryCountersCountAnswers(t *testing.T) {
+	rec := NewMetricsRecorder()
+	ix := openMem(t, IndexOptions{DviCL: Options{Obs: rec}, TreeStore: &TreeStoreOptions{}})
+	id, _, err := ix.Add(indexTestGraphs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := ix.OrbitsCtx(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.OrbitsCtx(ctx, id+1000); !errors.Is(err, ErrUnknownID) {
+		t.Fatalf("unknown id: got %v", err)
+	}
+	if got := counterVal(t, rec, "symmetry_query_orbits"); got != 1 {
+		t.Fatalf("symmetry_query_orbits = %d after one answered and one unknown-id query, want 1", got)
+	}
+}
+
 // TestIndexCloseStopsSymmetryQueries: after Close, queries fail with
 // ErrIndexClosed rather than hanging or panicking.
 func TestIndexCloseStopsSymmetryQueries(t *testing.T) {

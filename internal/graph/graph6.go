@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // Graph6 support: the compact ASCII format used by nauty's tools (and the
@@ -47,29 +48,43 @@ func ToGraph6(g *Graph) (string, error) {
 	return b.String(), nil
 }
 
+// Graph6Order reads only the size header of a graph6 string: the vertex
+// count n and the offset pos of the first data byte. Leading whitespace
+// is skipped, as FromGraph6 skips it. The data section spends one bit per
+// vertex pair, so a caller that bounds n before decoding bounds what the
+// decode allocates.
+func Graph6Order(s string) (n, pos int, err error) {
+	pos = len(s) - len(strings.TrimLeftFunc(s, unicode.IsSpace))
+	h := s[pos:]
+	if h == "" {
+		return 0, 0, fmt.Errorf("graph6: empty input")
+	}
+	size := h[:1]
+	if h[0] == 126 {
+		if len(h) < 4 {
+			return 0, 0, fmt.Errorf("graph6: truncated size header")
+		}
+		if h[1] == 126 {
+			return 0, 0, fmt.Errorf("graph6: n >= 2^18 unsupported")
+		}
+		size = h[1:4]
+		pos++
+	}
+	for i := 0; i < len(size); i++ {
+		if size[i] < 63 || size[i] > 126 {
+			return 0, 0, fmt.Errorf("graph6: bad size byte %q", size[i])
+		}
+		n = n<<6 | int(size[i]-63)
+	}
+	return n, pos + len(size), nil
+}
+
 // FromGraph6 decodes a graph6 string.
 func FromGraph6(s string) (*Graph, error) {
 	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, fmt.Errorf("graph6: empty input")
-	}
-	pos := 0
-	var n int
-	if s[0] == 126 {
-		if len(s) < 4 {
-			return nil, fmt.Errorf("graph6: truncated size header")
-		}
-		if s[1] == 126 {
-			return nil, fmt.Errorf("graph6: n >= 2^18 unsupported")
-		}
-		n = int(s[1]-63)<<12 | int(s[2]-63)<<6 | int(s[3]-63)
-		pos = 4
-	} else {
-		if s[0] < 63 || s[0] > 126 {
-			return nil, fmt.Errorf("graph6: bad size byte %q", s[0])
-		}
-		n = int(s[0] - 63)
-		pos = 1
+	n, pos, err := Graph6Order(s)
+	if err != nil {
+		return nil, err
 	}
 	need := (n*(n-1)/2 + 5) / 6
 	if len(s)-pos < need {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -102,7 +103,8 @@ func TestGraph6LargeN(t *testing.T) {
 }
 
 func TestGraph6Errors(t *testing.T) {
-	for _, in := range []string{"", "D", "~", "~~A", "A\x01"} {
+	// "~??>": a size byte below 63 must not wrap around to n = 255.
+	for _, in := range []string{"", "D", "~", "~~A", "A\x01", "\x01", "~??>" + strings.Repeat("?", 5398)} {
 		if _, err := FromGraph6(in); err == nil {
 			t.Errorf("FromGraph6(%q) accepted", in)
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -121,6 +123,32 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if back.Phases["build"].Count != 1 {
 		t.Fatalf("round-tripped phases: %v", back.Phases)
+	}
+}
+
+// TestSnapshotWriteFile: WriteFile writes what WriteJSON writes, and
+// reports a path it cannot create.
+func TestSnapshotWriteFile(t *testing.T) {
+	r := New()
+	r.Add(SearchNodes, 7)
+	snap := r.Snapshot()
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := snap.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := snap.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("WriteFile wrote %q, WriteJSON writes %q", got, want.String())
+	}
+	if err := snap.WriteFile(filepath.Join(t.TempDir(), "missing", "metrics.json")); err == nil {
+		t.Fatal("WriteFile into a missing directory returned nil")
 	}
 }
 

@@ -126,11 +126,12 @@ type record struct {
 
 // Run streams src through the pipeline. It returns when the source is
 // exhausted (report, nil), or on the first source/canonicalize/apply
-// error (partial report, err) — cancellation of cfg.Ctx surfaces as a
-// canonicalize or apply error wrapping engine.ErrCanceled. Decode errors
-// do not abort the run; they are counted and sampled in the report.
-// Whatever the outcome, Run returns only after every worker goroutine
-// has exited.
+// error (partial report, err) — cancellation of cfg.Ctx surfaces as an
+// error wrapping engine.ErrCanceled, from whichever stage notices it
+// first. Decode errors do not abort the run; they are counted and
+// sampled in the report. Whatever the outcome, Run returns only after
+// the reader and every worker goroutine have exited, so src is never
+// called after Run returns.
 func Run(cfg Config, src Source) (*Report, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -162,7 +163,9 @@ func Run(cfg Config, src Source) (*Report, error) {
 
 	// Reader: source → feed.
 	var readErr error
+	readerDone := make(chan struct{})
 	go func() {
+		defer close(readerDone)
 		defer close(feed)
 		for seq := int64(0); ; seq++ {
 			raw, line, ok, err := src()
@@ -180,7 +183,7 @@ func Run(cfg Config, src Source) (*Report, error) {
 			case <-ctx.Done():
 				// Record the cancellation: otherwise a cancel that lands
 				// between builds would masquerade as clean EOF.
-				readErr = context.Cause(ctx)
+				readErr = fmt.Errorf("%w: %w", engine.ErrCanceled, context.Cause(ctx))
 				return
 			}
 		}
@@ -281,6 +284,7 @@ func Run(cfg Config, src Source) (*Report, error) {
 		for range results {
 		}
 	}
+	<-readerDone
 	for _, rec := range workerRecs {
 		cfg.Obs.Merge(rec)
 	}
@@ -324,8 +328,7 @@ func EdgeListSource(sc *graph.EdgeListScanner) Source {
 }
 
 // SliceSource yields the records of a slice in order, numbering lines
-// from firstLine. The indexd /bulk endpoint uses it to run one bounded
-// chunk of a long-lived stream per admission token.
+// from firstLine, for callers that hold their records in memory.
 func SliceSource(recs []string, firstLine int) Source {
 	i := 0
 	return func() (string, int, bool, error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,6 +168,54 @@ func TestRunApplyErrorAborts(t *testing.T) {
 	}
 	if applied != 10 {
 		t.Fatalf("applied %d records before abort, want 10", applied)
+	}
+}
+
+// TestRunJoinsReaderOnApplyError: when Apply fails while the reader is
+// inside a slow Source call, Run still waits for that call to return.
+// indexd reads a request body through the Source, which it must not touch
+// after its handler returns. Without the join the lone worker, parked
+// with a built result when the applier stops, exits on the stop signal
+// half the time and Run returns with the reader still in src.
+func TestRunJoinsReaderOnApplyError(t *testing.T) {
+	boom := errors.New("sink full")
+	for i := 0; i < 20; i++ {
+		applyFailed := make(chan struct{})
+		var inSrc atomic.Bool
+		calls := 0
+		src := func() (string, int, bool, error) {
+			calls++
+			if calls <= 2 {
+				return "A_", calls, true, nil
+			}
+			inSrc.Store(true)
+			<-applyFailed
+			time.Sleep(5 * time.Millisecond)
+			inSrc.Store(false)
+			return "", 0, false, nil
+		}
+		var builds atomic.Int32
+		_, err := Run(Config{
+			Workers: 1,
+			Decode:  graph.FromGraph6,
+			Canon: func(context.Context, *graph.Graph, *engine.Workspace, *obs.Recorder) (string, error) {
+				if builds.Add(1) > 1 {
+					<-applyFailed
+					time.Sleep(time.Millisecond)
+				}
+				return "cert", nil
+			},
+			Apply: func(int64, string) error {
+				close(applyFailed)
+				return boom
+			},
+		}, src)
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want wrapped sink error", err)
+		}
+		if inSrc.Load() {
+			t.Fatalf("run %d: Run returned while the reader was inside the source", i)
+		}
 	}
 }
 
@@ -346,5 +395,48 @@ func TestRunPreCanceled(t *testing.T) {
 	}
 	if rep.Applied != 0 {
 		t.Fatalf("pre-canceled run applied %d records", rep.Applied)
+	}
+}
+
+// TestRunCancelBetweenRecordsIsErrCanceled: a cancel that lands while
+// the pipeline is idle, waiting on its source, surfaces as
+// engine.ErrCanceled like a cancel during a build. The reader may notice
+// it before the next record reaches a worker, so half the runs end on the
+// reader's path.
+func TestRunCancelBetweenRecordsIsErrCanceled(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		applied := make(chan struct{})
+		calls := 0
+		src := func() (string, int, bool, error) {
+			calls++
+			switch calls {
+			case 1:
+				return "A_", 1, true, nil
+			case 2:
+				<-applied
+				cancel()
+				return "A_", 2, true, nil
+			}
+			return "", 0, false, nil
+		}
+		_, err := Run(Config{
+			Ctx:     ctx,
+			Workers: 1,
+			Decode:  graph.FromGraph6,
+			Canon: func(context.Context, *graph.Graph, *engine.Workspace, *obs.Recorder) (string, error) {
+				return "cert", nil
+			},
+			Apply: func(seq int64, _ string) error {
+				if seq == 0 {
+					close(applied)
+				}
+				return nil
+			},
+		}, src)
+		cancel()
+		if !errors.Is(err, engine.ErrCanceled) {
+			t.Fatalf("run %d: err = %v, want engine.ErrCanceled", i, err)
+		}
 	}
 }

@@ -61,19 +61,20 @@ func (ix *GraphIndex) treeByID(ctx context.Context, id int) (*AutoTree, error) {
 	return sh.ts.Get(ctx, []byte(cert))
 }
 
-// symQuery wraps the shared per-query bookkeeping: counter, phase span
-// and tree resolution. The returned ctx carries the span for nested
-// work. The caller ends the span; it is already ended when err is
+// symQuery wraps the shared per-query bookkeeping: phase span, tree
+// resolution and, once the tree resolves, the query counter (a query for
+// an unknown id is not counted). The returned ctx carries the span for
+// nested work. The caller ends the span; it is already ended when err is
 // non-nil.
 func (ix *GraphIndex) symQuery(ctx context.Context, id int, c obs.Counter) (context.Context, *AutoTree, obs.Span, error) {
 	ctx, rec, span := obs.Start(ctx, ix.opt.Obs, obs.PhaseSymmetryQuery)
-	rec.Inc(c)
 	span.SetAttr("graph_id", int64(id))
 	tree, err := ix.treeByID(ctx, id)
 	if err != nil {
 		span.End()
 		return ctx, nil, obs.Span{}, err
 	}
+	rec.Inc(c)
 	return ctx, tree, span, nil
 }
 
