@@ -29,6 +29,7 @@ package dvicl
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/big"
 
@@ -315,11 +316,24 @@ func KSymmetrize(t *AutoTree, k int) (*Graph, error) {
 // SaveAutoTree persists a built index; LoadAutoTree restores it against
 // the same graph — rebuilding the tree over a massive graph is the
 // expensive step, so a system keeps the index on disk like any other.
-func SaveAutoTree(t *AutoTree, w io.Writer) error { return t.Save(w) }
+// It writes one version-2 record: a header with the SHA-256 of the
+// graph, a varint body and a CRC32.
+func SaveAutoTree(t *AutoTree, w io.Writer) error {
+	_, err := w.Write(t.Save())
+	return err
+}
 
 // LoadAutoTree reads an index saved by SaveAutoTree. g must be the graph
-// the index was built from.
-func LoadAutoTree(r io.Reader, g *Graph) (*AutoTree, error) { return core.Load(r, g) }
+// the index was built from; a record made for another graph is rejected.
+// Files written by builds before format version 2 are rejected with a
+// version or bad-magic error, never misread.
+func LoadAutoTree(r io.Reader, g *Graph) (*AutoTree, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("dvicl: read AutoTree: %w", err)
+	}
+	return core.Load(data, g)
+}
 
 // OpenTreeStore opens (creating the directory if needed) a standalone
 // content-addressed AutoTree store rooted at dir; dir == "" keeps the

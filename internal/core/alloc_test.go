@@ -66,6 +66,52 @@ func TestBuildAllocCeiling(t *testing.T) {
 	}
 }
 
+// socialLoadGraph is a 1,000-vertex social-graph stand-in, the shape
+// the tree store loads most.
+func socialLoadGraph() *graph.Graph {
+	return gen.Social(gen.SocialConfig{
+		Name: "load-allocs", N: 1000, M: 3500,
+		TwinFrac: 0.12, PendantFrac: 0.18, Seed: 1000,
+	})
+}
+
+// BenchmarkLoadAllocs decodes one tree record per op.
+func BenchmarkLoadAllocs(b *testing.B) {
+	g := socialLoadGraph()
+	data := Build(g, nil, Options{}).Save()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(data, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLoadAllocCeiling is the same guard for the load path: decoding a
+// tree record carves nodes, vertex lists, labels and certificates from
+// the slab, so allocations grow with the slab's chunks, the internal
+// nodes' children slices and the generators collectGens rebuilds, not
+// with every field. The ceiling carries ~2x headroom over the measured
+// value at the time of pinning (about 1,200 on the 1,000-vertex social
+// tree, nine in ten of them collectGens's sibling swaps).
+func TestLoadAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc ceiling is a perf guard; skipped in -short")
+	}
+	g := socialLoadGraph()
+	data := Build(g, nil, Options{}).Save()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Load(data, g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2400 {
+		t.Fatalf("Load allocates %.0f times per op, ceiling 2400", allocs)
+	}
+}
+
 // pendantCycle returns an n-cycle with one pendant vertex: the pendant
 // breaks the symmetry so DivideI recurses the whole ring down to
 // singletons — the pure divide/combine path with no leaf search.

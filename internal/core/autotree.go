@@ -17,6 +17,7 @@ import (
 	"context"
 	"math/big"
 	"sort"
+	"unsafe"
 
 	"dvicl/internal/canon"
 	"dvicl/internal/coloring"
@@ -143,8 +144,8 @@ type Node struct {
 	// autOrder is |Aut(g, πg)| (nil until computed).
 	autOrder *big.Int
 	// desc is the removal descriptor of the division that produced the
-	// children (see combine.go); retained so certificates can be
-	// recomputed after twin expansion.
+	// children (see combine.go). Only CombineST reads it, during the
+	// build, so records do not store it.
 	desc []byte
 	// localGens holds, for a non-singleton leaf, the automorphism
 	// generators of (g, πg) over the node's local vertex order.
@@ -316,16 +317,23 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 	t.Root = root
 
 	t.Truncated = b.wasTruncated()
-	if t.sparseGens, err = b.collectGens(t.Root); err != nil {
+	if err := t.derive(); err != nil {
 		return nil, err
 	}
-	if n > 0 {
-		t.Gamma = make(perm.Perm, n)
-		copy(t.Gamma, t.Root.gammaVal) // root Verts = 0..n-1 in order
-	} else {
-		t.Gamma = perm.Perm{}
-	}
 	return t, nil
+}
+
+// derive fills in what a tree never stores: Gamma, a copy of the root's
+// labels (root Verts = 0..n-1 in order), and the generators collectGens
+// walks out of the tree.
+func (t *Tree) derive() error {
+	var err error
+	if t.sparseGens, err = collectGens(t.g.N(), t.Root); err != nil {
+		return err
+	}
+	t.Gamma = make(perm.Perm, t.g.N())
+	copy(t.Gamma, t.Root.gammaVal)
+	return nil
 }
 
 // Stats summarizes the AutoTree structure — the columns of Tables 3 and 4 —
@@ -384,6 +392,38 @@ func (t *Tree) Stats() Stats {
 		s.AvgLeafSize = float64(sizeSum) / float64(s.NonSingletonLeaves)
 	}
 	return s
+}
+
+// HeapBytes estimates the heap the tree holds: its nodes with their
+// vertex, label, child and certificate slices, division descriptors and
+// memoized group orders, the leaves' generators and local graphs, and
+// the tree's colors, Gamma and generators. The tree store charges its
+// memory budget with it.
+func (t *Tree) HeapBytes() int64 {
+	const word = 8
+	size := word * int64(len(t.colors)+len(t.Gamma))
+	for _, s := range t.sparseGens {
+		size += int64(unsafe.Sizeof(s)) + 2*word*int64(len(s.Moved))
+	}
+	var walk func(nd *Node)
+	walk = func(nd *Node) {
+		size += int64(unsafe.Sizeof(*nd)) + int64(len(nd.Cert)+len(nd.desc)) +
+			word*int64(len(nd.Verts)+len(nd.gammaVal)+len(nd.Children))
+		if nd.autOrder != nil {
+			size += int64(unsafe.Sizeof(*nd.autOrder)) + word*int64(len(nd.autOrder.Bits()))
+		}
+		for _, lg := range nd.localGens {
+			size += int64(unsafe.Sizeof(lg)) + word*int64(len(lg))
+		}
+		if g := nd.localGraph; g != nil {
+			size += int64(unsafe.Sizeof(*g)) + 4*int64(g.N()+1+2*g.M())
+		}
+		for _, c := range nd.Children {
+			walk(c)
+		}
+	}
+	walk(t.Root)
+	return size
 }
 
 // CanonicalGraph returns the canonical form G^γ* itself: isomorphic

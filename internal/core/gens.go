@@ -25,8 +25,8 @@ type gensCollector struct {
 // Generators are sparse: each moves only its leaf's or sibling pair's
 // vertices, so the collection stays linear in the tree size even on
 // million-vertex graphs.
-func (b *builder) collectGens(root *Node) ([]perm.Sparse, error) {
-	gc := &gensCollector{n: b.t.g.N()}
+func collectGens(n int, root *Node) ([]perm.Sparse, error) {
+	gc := &gensCollector{n: n}
 	gc.walk(root)
 	if gc.err != nil {
 		return nil, gc.err

@@ -1,326 +1,315 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/crc32"
 
 	"dvicl/internal/graph"
 	"dvicl/internal/perm"
 	"dvicl/internal/store"
 )
 
-// AutoTree serialization: the tree is an index (the paper's term), so a
-// system that pays to build it over a massive graph wants to persist it.
-// The format is a simple length-prefixed binary encoding, independent of
-// host byte order; the graph itself is not stored — the caller supplies
-// the same graph at load time (checked via vertex/edge counts).
+// AutoTree records: the tree is an index (the paper's term), so a system
+// that pays to build it wants to persist it. Save and Load are the only
+// code that knows the record's layout:
+//
+//	magic "DVTS" (4) | version u16 (2) | SHA-256 of the graph (32) |
+//	body | CRC32-IEEE u32 of everything before it (4)
+//
+// Fixed-width fields are little-endian; the body is unsigned varints.
+// It holds the global colors π(v), the Truncated flag, then the nodes in
+// preorder. A node is its kind, its division, its vertex count and the
+// gaps between its sorted vertices, its label count and labels γg, and
+// its 32-byte certificate. A non-singleton leaf adds its local
+// generators (a count, then each as the images of its vertex positions)
+// and its local graph (vertex count, then per vertex the count and gaps
+// of its higher neighbors); an internal node adds its child count and
+// children.
+//
+// The graph is not stored: the caller supplies it to Load, which checks
+// its hash. Neither is anything a loaded tree can work out for itself:
+// Gamma is the root's labels, collectGens rebuilds the generators, and a
+// division's removal descriptor is read only while the build combines.
 //
 // Load failures use the typed error set of internal/store — ErrBadMagic,
 // *VersionError, ErrTruncated, ErrChecksum — so callers (the treestore's
-// corruption fallback in particular) can distinguish a torn file from
-// version skew from structural corruption with errors.Is / errors.As.
-
-// treeMagicPrefix identifies an AutoTree file; the byte after it is the
-// format version.
+// corruption fallback in particular) can tell them apart with errors.Is
+// and errors.As.
 const (
-	treeMagicPrefix = "DVICLAT"
-	treeVersion     = 1
-	treeMagic       = uint64(0x4456_4943_4c41_5400 | treeVersion) // "DVICLAT" + version
+	recordMagic   = "DVTS"
+	recordVersion = 2
+	recordHdrLen  = len(recordMagic) + 2 + sha256.Size
+	// certLen is the size of every node certificate: a SHA-256 digest.
+	certLen = sha256.Size
 )
 
-type treeWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (tw *treeWriter) u64(x uint64) {
-	if tw.err != nil {
-		return
+// Save encodes the tree as one record.
+func (t *Tree) Save() []byte {
+	h := t.g.Hash()
+	out := binary.LittleEndian.AppendUint16([]byte(recordMagic), recordVersion)
+	out = append(out, h[:]...)
+	for _, c := range t.colors {
+		out = binary.AppendUvarint(out, uint64(c))
 	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], x)
-	_, tw.err = tw.w.Write(buf[:])
-}
-
-func (tw *treeWriter) num(x int) { tw.u64(uint64(x)) }
-func (tw *treeWriter) ints(xs []int) {
-	tw.num(len(xs))
-	for _, x := range xs {
-		tw.num(x)
-	}
-}
-func (tw *treeWriter) bytes(b []byte) {
-	tw.num(len(b))
-	if tw.err == nil {
-		_, tw.err = tw.w.Write(b)
-	}
-}
-
-// Save writes the tree to w.
-func (t *Tree) Save(w io.Writer) error {
-	tw := &treeWriter{w: bufio.NewWriter(w)}
-	tw.u64(treeMagic)
-	tw.num(t.g.N())
-	tw.num(t.g.M())
-	tw.ints(t.colors)
-	tw.ints(t.Gamma)
+	truncated := uint64(0)
 	if t.Truncated {
-		tw.num(1)
-	} else {
-		tw.num(0)
+		truncated = 1
 	}
-	tw.num(len(t.sparseGens))
-	for _, s := range t.sparseGens {
-		tw.num(len(s.Moved))
-		for _, m := range s.Moved {
-			tw.num(m[0])
-			tw.num(m[1])
-		}
-	}
-	var save func(nd *Node)
-	save = func(nd *Node) {
-		tw.num(int(nd.Kind))
-		tw.num(int(nd.Divide))
-		tw.ints(nd.Verts)
-		tw.ints(nd.gammaVal)
-		tw.bytes(nd.Cert)
-		tw.bytes(nd.desc)
-		tw.num(len(nd.localGens))
-		for _, g := range nd.localGens {
-			tw.ints(g)
-		}
-		if nd.localGraph != nil {
-			edges := nd.localGraph.Edges()
-			tw.num(nd.localGraph.N())
-			tw.num(len(edges))
-			for _, e := range edges {
-				tw.num(e[0])
-				tw.num(e[1])
-			}
-		} else {
-			tw.num(-1)
-		}
-		tw.num(len(nd.Children))
-		for _, c := range nd.Children {
-			save(c)
-		}
-	}
-	if t.Root != nil {
-		tw.num(1)
-		save(t.Root)
-	} else {
-		tw.num(0)
-	}
-	if tw.err != nil {
-		return tw.err
-	}
-	return tw.w.Flush()
+	out = binary.AppendUvarint(out, truncated)
+	out = appendNode(out, t.Root)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
-type treeReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (tr *treeReader) u64() uint64 {
-	if tr.err != nil {
-		return 0
+func appendNode(out []byte, nd *Node) []byte {
+	out = append(out, byte(nd.Kind), byte(nd.Divide))
+	out = binary.AppendUvarint(out, uint64(len(nd.Verts)))
+	prev := -1
+	for _, v := range nd.Verts {
+		out = binary.AppendUvarint(out, uint64(v-prev-1))
+		prev = v
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
-		tr.err = truncated(err)
-		return 0
+	out = binary.AppendUvarint(out, uint64(len(nd.gammaVal)))
+	for _, x := range nd.gammaVal {
+		out = binary.AppendUvarint(out, uint64(x))
 	}
-	return binary.BigEndian.Uint64(buf[:])
-}
-
-// truncated maps an io read failure onto the typed store error set: a
-// stream that ends mid-field is store.ErrTruncated (a torn file), any
-// other failure passes through.
-func truncated(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("core: corrupt tree: %w", store.ErrTruncated)
-	}
-	return err
-}
-
-func (tr *treeReader) num() int { return int(int64(tr.u64())) }
-
-// maxChunk bounds any single length field: it must cover the largest
-// legitimate payload (a vertex list), but a corrupt length must not cause
-// a gigantic allocation before the read fails.
-const maxChunk = 1 << 28
-
-func (tr *treeReader) ints() []int {
-	n := tr.num()
-	if tr.err != nil || n < 0 || n > maxChunk {
-		tr.fail("bad slice length")
-		return nil
-	}
-	out := make([]int, 0, min(n, 1<<16))
-	for i := 0; i < n; i++ {
-		out = append(out, tr.num())
-		if tr.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-func (tr *treeReader) bytes() []byte {
-	n := tr.num()
-	if tr.err != nil || n < 0 || n > maxChunk {
-		tr.fail("bad byte length")
-		return nil
-	}
-	out := make([]byte, 0, min(n, 1<<16))
-	buf := make([]byte, 4096)
-	for len(out) < n && tr.err == nil {
-		chunk := n - len(out)
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
-		k, err := io.ReadFull(tr.r, buf[:chunk])
-		if err != nil {
-			tr.err = truncated(err)
-		}
-		out = append(out, buf[:k]...)
-	}
-	return out
-}
-
-func (tr *treeReader) fail(msg string) {
-	if tr.err == nil {
-		tr.err = fmt.Errorf("core: corrupt tree: %s: %w", msg, store.ErrChecksum)
-	}
-}
-
-// Load reads a tree saved by Save, re-attaching it to g (which must be
-// the same graph the tree was built from).
-func Load(r io.Reader, g *graph.Graph) (*Tree, error) {
-	tr := &treeReader{r: bufio.NewReader(r)}
-	var hdr [8]byte
-	if _, err := io.ReadFull(tr.r, hdr[:]); err != nil {
-		return nil, truncated(err)
-	}
-	if string(hdr[:7]) != treeMagicPrefix {
-		return nil, fmt.Errorf("core: not an AutoTree file: %w", store.ErrBadMagic)
-	}
-	if hdr[7] != treeVersion {
-		return nil, &store.VersionError{File: "autotree", Got: uint16(hdr[7]), Want: treeVersion}
-	}
-	n := tr.num()
-	m := tr.num()
-	if tr.err == nil && (n != g.N() || m != g.M()) {
-		return nil, fmt.Errorf("core: tree was built for a graph with n=%d m=%d, got n=%d m=%d: %w",
-			n, m, g.N(), g.M(), store.ErrChecksum)
-	}
-	t := &Tree{g: g}
-	t.colors = tr.ints()
-	gamma := tr.ints()
-	if tr.err == nil && len(gamma) != g.N() {
-		return nil, fmt.Errorf("core: corrupt tree: Gamma length %d, want %d: %w", len(gamma), g.N(), store.ErrChecksum)
-	}
-	t.Gamma = perm.Perm(gamma)
-	t.Truncated = tr.num() == 1
-	nGens := tr.num()
-	if tr.err == nil && (nGens < 0 || nGens > 1<<31) {
-		tr.fail("bad generator count")
-	}
-	for i := 0; i < nGens && tr.err == nil; i++ {
-		k := tr.num()
-		if tr.err == nil && (k < 0 || k > 2*g.N()) {
-			tr.fail("bad moved-point count")
-			break
-		}
-		s := perm.Sparse{N: g.N()}
-		for j := 0; j < k && tr.err == nil; j++ {
-			a := tr.num()
-			b := tr.num()
-			if a < 0 || a >= g.N() || b < 0 || b >= g.N() {
-				tr.fail("moved point out of range")
-				break
-			}
-			s.Moved = append(s.Moved, [2]int{a, b})
-		}
-		t.sparseGens = append(t.sparseGens, s)
-	}
-	var load func() *Node
-	load = func() *Node {
-		if tr.err != nil {
-			return nil
-		}
-		nd := &Node{
-			Kind:   NodeKind(tr.num()),
-			Divide: DivideKind(tr.num()),
-		}
-		nd.Verts = tr.ints()
-		for _, v := range nd.Verts {
-			if v < 0 || v >= g.N() {
-				tr.fail("vertex out of range")
-				return nil
-			}
-		}
-		nd.gammaVal = tr.ints()
-		nd.Cert = tr.bytes()
-		nd.desc = tr.bytes()
-		nLocal := tr.num()
-		if tr.err == nil && (nLocal < 0 || nLocal > 1<<20) {
-			tr.fail("bad local generator count")
-			return nil
-		}
-		for i := 0; i < nLocal && tr.err == nil; i++ {
-			lg := tr.ints()
+	out = append(out, nd.Cert...)
+	switch nd.Kind {
+	case KindLeaf:
+		out = binary.AppendUvarint(out, uint64(len(nd.localGens)))
+		for _, lg := range nd.localGens {
 			for _, x := range lg {
-				if x < 0 || x >= len(nd.Verts) {
-					tr.fail("local generator out of range")
-					return nil
-				}
-			}
-			nd.localGens = append(nd.localGens, perm.Perm(lg))
-		}
-		ln := tr.num()
-		if tr.err == nil && ln > g.N() {
-			tr.fail("bad local graph size")
-			return nil
-		}
-		if ln >= 0 && tr.err == nil {
-			le := tr.num()
-			if tr.err == nil && (le < 0 || le > ln*ln) {
-				tr.fail("bad local edge count")
-				return nil
-			}
-			b := graph.NewBuilder(ln)
-			for i := 0; i < le && tr.err == nil; i++ {
-				u := tr.num()
-				v := tr.num()
-				if u < 0 || u >= ln || v < 0 || v >= ln {
-					tr.fail("local edge out of range")
-					return nil
-				}
-				b.AddEdge(u, v)
-			}
-			if tr.err == nil {
-				nd.localGraph = b.Build()
+				out = binary.AppendUvarint(out, uint64(x))
 			}
 		}
-		nc := tr.num()
-		if tr.err == nil && (nc < 0 || nc > g.N()+1) {
-			tr.fail("bad child count")
-			return nil
+		ln := 0
+		if nd.localGraph != nil {
+			ln = nd.localGraph.N()
 		}
-		for i := 0; i < nc && tr.err == nil; i++ {
-			nd.Children = append(nd.Children, load())
+		out = binary.AppendUvarint(out, uint64(ln))
+		for u := 0; u < ln; u++ {
+			nb := nd.localGraph.Neighbors32(u)
+			i := 0
+			for i < len(nb) && int(nb[i]) < u {
+				i++
+			}
+			out = binary.AppendUvarint(out, uint64(len(nb)-i))
+			prev := u
+			for _, w := range nb[i:] {
+				out = binary.AppendUvarint(out, uint64(int(w)-prev-1))
+				prev = int(w)
+			}
 		}
-		return nd
+	case KindInternal:
+		out = binary.AppendUvarint(out, uint64(len(nd.Children)))
+		for _, c := range nd.Children {
+			out = appendNode(out, c)
+		}
 	}
-	if tr.num() == 1 {
-		t.Root = load()
+	return out
+}
+
+// Load decodes a record made by Save and attaches it to g, which must be
+// the graph the tree was built for.
+func Load(data []byte, g *graph.Graph) (*Tree, error) {
+	if len(data) < recordHdrLen+4 {
+		return nil, fmt.Errorf("core: tree record of %d bytes: %w", len(data), store.ErrTruncated)
 	}
-	if tr.err != nil {
-		return nil, tr.err
+	if string(data[:4]) != recordMagic {
+		return nil, fmt.Errorf("core: not an AutoTree record: %w", store.ErrBadMagic)
+	}
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != recordVersion {
+		return nil, &store.VersionError{File: "autotree", Got: v, Want: recordVersion}
+	}
+	body := data[:len(data)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, fmt.Errorf("core: tree record: %w", store.ErrChecksum)
+	}
+	if h := g.Hash(); !bytes.Equal(h[:], data[6:recordHdrLen]) {
+		return nil, fmt.Errorf("core: tree record was built for another graph: %w", store.ErrChecksum)
+	}
+	n := g.N()
+	d := &decoder{data: body, p: recordHdrLen, n: n}
+	t := &Tree{g: g, colors: d.slab.intSlice(n)}
+	for v := range t.colors {
+		t.colors[v] = d.varint(n, "color")
+	}
+	t.Truncated = d.varint(2, "truncated flag") == 1
+	t.Root = d.node()
+	if d.err == nil && len(t.Root.Verts) != n {
+		d.fail("root does not cover the graph")
+	}
+	if d.err == nil && d.p != len(body) {
+		d.fail("trailing bytes")
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if err := t.derive(); err != nil {
+		return nil, fmt.Errorf("core: corrupt tree: %v: %w", err, store.ErrChecksum)
 	}
 	return t, nil
+}
+
+// decoder reads a record body. Every value is checked against a bound
+// and every length against the bytes left before anything is allocated;
+// the first failure sticks. Decoded slices come from the tree's slab.
+type decoder struct {
+	data []byte
+	p    int
+	n    int // vertices of the graph
+	err  error
+	slab slab
+}
+
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("core: corrupt tree: bad %s: %w", what, store.ErrChecksum)
+	}
+}
+
+// varint decodes one varint, which must be below bound.
+func (d *decoder) varint(bound int, what string) int {
+	if d.err != nil {
+		return 0
+	}
+	x, k := binary.Uvarint(d.data[d.p:])
+	if k <= 0 || x >= uint64(bound) {
+		d.fail(what)
+		return 0
+	}
+	d.p += k
+	return int(x)
+}
+
+// length decodes a count of varints that follow: at most limit, and no
+// more than the bytes left, since each takes at least one.
+func (d *decoder) length(limit int, what string) int {
+	return d.varint(min(limit, len(d.data)-d.p)+1, what)
+}
+
+func (d *decoder) node() *Node {
+	nd := d.slab.node()
+	nd.Kind = NodeKind(d.varint(3, "node kind"))
+	nd.Divide = DivideKind(d.varint(3, "divide kind"))
+	nd.Verts = d.slab.intSlice(d.length(d.n, "vertex count"))
+	prev := -1
+	for i := range nd.Verts {
+		prev += 1 + d.varint(d.n-prev-1, "vertex")
+		nd.Verts[i] = prev
+	}
+	if d.length(d.n, "label count") != len(nd.Verts) {
+		d.fail("label count")
+	}
+	nd.gammaVal = d.slab.intSlice(len(nd.Verts))
+	for i := range nd.gammaVal {
+		nd.gammaVal[i] = d.varint(d.n, "label")
+	}
+	if d.err == nil && len(d.data)-d.p < certLen {
+		d.fail("certificate")
+	}
+	if d.err != nil {
+		return nd
+	}
+	nd.Cert = d.slab.bytesCopy(d.data[d.p : d.p+certLen])
+	d.p += certLen
+	switch nd.Kind {
+	case KindSingleton:
+		if len(nd.Verts) != 1 {
+			d.fail("singleton size")
+		}
+	case KindLeaf:
+		d.leaf(nd)
+	case KindInternal:
+		nc := d.length(len(nd.Verts), "child count")
+		if nc == 0 {
+			d.fail("child count")
+		}
+		nd.Children = make([]*Node, nc)
+		for i := 0; i < nc && d.err == nil; i++ {
+			nd.Children[i] = d.node()
+		}
+	}
+	return nd
+}
+
+// leaf decodes a leaf's local generators, each a permutation of its
+// local vertex order, and its local graph.
+func (d *decoder) leaf(nd *Node) {
+	k := len(nd.Verts)
+	count := d.length(d.n, "local generator count")
+	if count > 0 && (k == 0 || count*k > len(d.data)-d.p) {
+		d.fail("local generator count")
+	}
+	if d.err == nil && count > 0 {
+		flat := d.slab.intSlice(count * k)
+		seen := make([]bool, k)
+		nd.localGens = make([]perm.Perm, count)
+		for i := range nd.localGens {
+			lg := perm.Perm(flat[i*k : (i+1)*k : (i+1)*k])
+			clear(seen)
+			for j := range lg {
+				lg[j] = d.varint(k, "local generator")
+				if seen[lg[j]] {
+					d.fail("local generator")
+				}
+				seen[lg[j]] = true
+			}
+			nd.localGens[i] = lg
+		}
+	}
+	if ln := d.varint(d.n+1, "local graph size"); ln != k {
+		d.fail("local graph size")
+	} else if ln > 0 {
+		nd.localGraph = d.localGraph(ln)
+	}
+}
+
+// localGraph decodes a leaf's local graph on ln vertices straight into
+// CSR. The first pass checks the rows and counts degrees; the second
+// fills each row with its lower neighbors, in the order their own rows
+// come, then its higher ones, so every row comes out sorted.
+func (d *decoder) localGraph(ln int) *graph.Graph {
+	start := d.p
+	offsets := make([]int32, ln+1)
+	m := 0
+	for u := 0; u < ln; u++ {
+		k := d.varint(ln-u, "local degree")
+		w := u
+		for j := 0; j < k; j++ {
+			w += 1 + d.varint(ln-w-1, "local edge")
+			if d.err != nil {
+				return nil
+			}
+			offsets[w]++
+		}
+		offsets[u] += int32(k)
+		m += k
+	}
+	if d.err != nil {
+		return nil
+	}
+	// offsets[u] becomes the start of row u; filling advances it to the
+	// end of row u, the start of row u+1.
+	sum := int32(0)
+	for u := 0; u < ln; u++ {
+		offsets[u], sum = sum, sum+offsets[u]
+	}
+	adj := make([]int32, 2*m)
+	d.p = start
+	for u := 0; u < ln; u++ {
+		k := d.varint(ln-u, "local degree")
+		w := u
+		for j := 0; j < k; j++ {
+			w += 1 + d.varint(ln-w-1, "local edge")
+			adj[offsets[u]], adj[offsets[w]] = int32(w), int32(u)
+			offsets[u]++
+			offsets[w]++
+		}
+	}
+	copy(offsets[1:], offsets[:ln])
+	offsets[0] = 0
+	return d.slab.graph(offsets, adj)
 }

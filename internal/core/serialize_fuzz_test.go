@@ -2,34 +2,48 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
 	"dvicl/internal/store"
 )
 
-// FuzzLoad: corrupt tree files must produce errors, never panics, and a
-// valid prefix mutated anywhere must not crash.
+// FuzzLoad: corrupt records must produce typed errors, never panics.
+// Each input is resealed with a fresh CRC, so mutations reach the body
+// decoder instead of stopping at the checksum. Whatever loads must
+// survive Verify (which may reject it) and CanonicalOrder on every node.
 func FuzzLoad(f *testing.F) {
-	g := cycle(6)
-	tree := Build(g, nil, Options{})
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	g := mixedGraph()
+	valid := Build(g, nil, Options{}).Save()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(bytes.NewReader(data), g)
+		rec := append([]byte(nil), data...)
+		if len(rec) >= 4 {
+			body := rec[:len(rec)-4]
+			binary.LittleEndian.PutUint32(rec[len(body):], crc32.ChecksumIEEE(body))
+		}
+		loaded, err := Load(rec, g)
 		if err != nil {
+			if !typedLoadError(err) {
+				t.Fatalf("untyped error %v", err)
+			}
 			return
 		}
-		// Anything that loads must at least pass leaf indexing; Verify
-		// may legitimately reject semantic corruption.
 		_ = loaded.Stats()
+		_ = loaded.Verify()
+		var walk func(nd *Node)
+		walk = func(nd *Node) {
+			nd.CanonicalOrder()
+			for _, c := range nd.Children {
+				walk(c)
+			}
+		}
+		walk(loaded.Root)
 	})
 }
 
@@ -45,8 +59,8 @@ func typedLoadError(err error) bool {
 }
 
 // FuzzTreeSaveLoad drives the full Save→corrupt→Load cycle on random
-// trees: an intact stream must round-trip the certificate; a truncated
-// or bit-flipped stream must either be caught with a typed error or
+// trees: an intact record must round-trip the certificate; a truncated
+// or bit-flipped record must either be caught with a typed error or
 // decode to *some* loadable tree — and must never panic or return an
 // ad-hoc untyped failure.
 func FuzzTreeSaveLoad(f *testing.F) {
@@ -57,13 +71,9 @@ func FuzzTreeSaveLoad(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		g := randGraph(r, 2+r.Intn(18), 2)
 		tree := Build(g, nil, Options{})
-		var buf bytes.Buffer
-		if err := tree.Save(&buf); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-		data := buf.Bytes()
+		data := tree.Save()
 
-		loaded, err := Load(bytes.NewReader(data), g)
+		loaded, err := Load(data, g)
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
@@ -74,10 +84,10 @@ func FuzzTreeSaveLoad(f *testing.F) {
 		// Truncation at any offset is a torn file: typed error, never a
 		// partial tree and never a panic.
 		cut := int(pos % uint(len(data)))
-		if _, err := Load(bytes.NewReader(data[:cut]), g); err == nil {
-			t.Fatalf("truncated stream (cut=%d) accepted", cut)
+		if _, err := Load(data[:cut], g); err == nil {
+			t.Fatalf("truncated record (cut=%d) accepted", cut)
 		} else if !typedLoadError(err) {
-			t.Fatalf("truncated stream (cut=%d): untyped error %v", cut, err)
+			t.Fatalf("truncated record (cut=%d): untyped error %v", cut, err)
 		}
 
 		// A bit flip may land in a don't-care byte (and still decode) or
@@ -85,7 +95,7 @@ func FuzzTreeSaveLoad(f *testing.F) {
 		// untyped error.
 		mut := append([]byte(nil), data...)
 		mut[cut] ^= mask | 1
-		if _, err := Load(bytes.NewReader(mut), g); err != nil && !typedLoadError(err) {
+		if _, err := Load(mut, g); err != nil && !typedLoadError(err) {
 			t.Fatalf("bit flip at %d: untyped error %v", cut, err)
 		}
 	})

@@ -16,10 +16,11 @@ import (
 //  1. leaves partition the vertex set;
 //  2. every node's vertex set is the union of its children's;
 //  3. children are sorted by certificate;
-//  4. every node's canonical labels γg are unique and per-color
-//     contiguous (π(v) + rank);
-//  5. the root labeling is a bijection onto {0,…,n−1};
-//  6. every stored generator is an automorphism of the graph.
+//  4. every node has one canonical label γg per vertex, and they are
+//     unique;
+//  5. every leaf's local graph has one vertex per leaf vertex;
+//  6. the root labeling is a bijection onto {0,…,n−1};
+//  7. every generator is an automorphism of the graph.
 func (t *Tree) Verify() error {
 	if t.Root == nil {
 		return nil
@@ -33,6 +34,12 @@ func (t *Tree) Verify() error {
 		}
 		if !sort.IntsAreSorted(nd.Verts) {
 			return fmt.Errorf("core: node vertices unsorted")
+		}
+		if len(nd.gammaVal) != len(nd.Verts) {
+			return fmt.Errorf("core: node has %d labels for %d vertices", len(nd.gammaVal), len(nd.Verts))
+		}
+		if nd.Kind == KindLeaf && len(nd.Verts) > 0 && (nd.localGraph == nil || nd.localGraph.N() != len(nd.Verts)) {
+			return fmt.Errorf("core: leaf of %d vertices has no local graph of that size", len(nd.Verts))
 		}
 		// γg uniqueness.
 		vals := map[int]bool{}

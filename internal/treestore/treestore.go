@@ -16,16 +16,20 @@
 //
 //	<dir>/ab/<sha256-of-cert-hex>.tree
 //
-// Each record is a CRC32-checksummed frame (magic "DVTS", version,
-// length, core.Tree.Save payload, trailing CRC32-IEEE) written via
-// temp-file + fsync + atomic rename, following the internal/store
-// conventions; load failures surface the same typed error set
-// (store.ErrBadMagic, *store.VersionError, store.ErrTruncated,
-// store.ErrChecksum) before the fallback rebuild swallows them into the
-// treestore_corrupt counter.
+// Each file holds exactly the bytes core.Tree.Save returns, written via
+// temp-file + fsync + atomic rename (store.WriteFileAtomic). The record
+// frames itself and internal/core alone knows its layout: magic "DVTS",
+// version 2, the SHA-256 of the canonical graph the tree was built for,
+// a varint body, and a trailing CRC32-IEEE. core.Load reports damage
+// with the typed error set of internal/store (store.ErrBadMagic,
+// *store.VersionError, store.ErrTruncated, store.ErrChecksum), and a
+// record filed under another class's key fails the graph-hash check
+// with store.ErrChecksum; the fallback rebuild swallows all of them into
+// the treestore_corrupt counter. Records written by older builds carry
+// version 1 and are rebuilt once.
 //
-// Decoded trees are held in a byte-budgeted LRU (cost = encoded record
-// payload size, a stable proxy for the decoded footprint), and
+// Decoded trees are held in a byte-budgeted LRU (cost = the tree's
+// estimated heap, core.Tree.HeapBytes), and
 // concurrent misses on one certificate are collapsed by a single-flight
 // table so a thundering herd performs one rebuild. Rebuilds honor the
 // configured engine.Budget and record into an obs.Trace when the
@@ -33,15 +37,11 @@
 package treestore
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -62,21 +62,10 @@ var ErrClosed = errors.New("treestore: closed")
 // is zero.
 const DefaultMemBudget = 256 << 20
 
-// Record format constants (little-endian, internal/store conventions).
-const (
-	recMagic   = "DVTS"
-	recVersion = uint16(1)
-	recHdrLen  = 12 // magic(4) + version(2) + reserved(2) + payload len(4)
-	// maxPayload caps a record's declared payload size; a length field
-	// beyond it is treated as corruption rather than attempted as an
-	// allocation.
-	maxPayload = 1 << 30
-)
-
 // Options configures a Store.
 type Options struct {
 	// MemBudget bounds the in-memory LRU of decoded trees, in bytes of
-	// encoded record size. 0 means DefaultMemBudget; negative disables
+	// their estimated heap. 0 means DefaultMemBudget; negative disables
 	// the memory cache entirely (every Get goes to disk or rebuilds).
 	MemBudget int64
 	// Build configures rebuild-on-miss DviCL builds. It must match the
@@ -195,13 +184,13 @@ func (s *Store) Get(ctx context.Context, cert []byte) (*core.Tree, error) {
 	s.flight[key] = fc
 	s.mu.Unlock()
 
-	tree, size, err := s.loadOrRebuild(ctx, rec, key, cert)
+	tree, err := s.loadOrRebuild(ctx, rec, key, cert)
 	fc.tree, fc.err = tree, err
 
 	s.mu.Lock()
 	delete(s.flight, key)
 	if err == nil && !s.closed && s.opt.MemBudget > 0 {
-		s.insertLocked(key, tree, size, rec)
+		s.insertLocked(key, tree, rec)
 	}
 	s.mu.Unlock()
 	close(fc.done)
@@ -210,38 +199,30 @@ func (s *Store) Get(ctx context.Context, cert []byte) (*core.Tree, error) {
 
 // loadOrRebuild is the miss path, run by exactly one flight leader per
 // certificate: disk first, then a budgeted DviCL rebuild from the
-// decoded certificate. It returns the tree and its encoded size (the
-// LRU cost).
-func (s *Store) loadOrRebuild(ctx context.Context, rec *obs.Recorder, key [32]byte, cert []byte) (*core.Tree, int64, error) {
+// decoded certificate.
+func (s *Store) loadOrRebuild(ctx context.Context, rec *obs.Recorder, key [32]byte, cert []byte) (*core.Tree, error) {
 	g, _, err := canon.DecodeCertificate(cert)
 	if err != nil {
 		// The certificate itself is bad — there is nothing to rebuild
 		// from. This never happens for certs produced by this module.
-		return nil, 0, err
+		return nil, err
 	}
 
 	if s.dir != "" {
-		if tree, size, ok := s.loadDisk(rec, key, g); ok {
-			return tree, size, nil
+		if tree, ok := s.loadDisk(rec, key, g); ok {
+			return tree, nil
 		}
 	}
 
 	rec.Inc(obs.TreeRebuilds)
 	tree, err := core.BuildCtx(ctx, g, nil, s.buildOpts(rec))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	warm(tree)
-	if s.dir == "" && s.opt.MemBudget < 0 {
-		return tree, 0, nil // nothing to persist, no cache to charge
-	}
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		return nil, 0, engine.Internalf("treestore", "encode rebuilt tree: %v", err)
-	}
 	if s.dir != "" {
 		span := obs.StartUnder(rec, nil, obs.PhaseTreePersist)
-		perr := s.writeRecord(key, buf.Bytes())
+		perr := s.writeRecord(key, tree.Save())
 		span.End()
 		if perr == nil {
 			rec.Inc(obs.TreeStorePuts)
@@ -249,13 +230,13 @@ func (s *Store) loadOrRebuild(ctx context.Context, rec *obs.Recorder, key [32]by
 		// A failed persist is not a query failure: the tree is good, the
 		// next cold Get just rebuilds again.
 	}
-	return tree, int64(buf.Len()), nil
+	return tree, nil
 }
 
 // loadDisk tries the persisted record. ok is false on any failure:
 // missing file is a plain miss; a corrupt or unreadable record is
 // counted, removed, and degraded to a miss.
-func (s *Store) loadDisk(rec *obs.Recorder, key [32]byte, g *graph.Graph) (*core.Tree, int64, bool) {
+func (s *Store) loadDisk(rec *obs.Recorder, key [32]byte, g *graph.Graph) (*core.Tree, bool) {
 	path := s.pathOf(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -263,23 +244,19 @@ func (s *Store) loadDisk(rec *obs.Recorder, key [32]byte, g *graph.Graph) (*core
 			rec.Inc(obs.TreeStoreCorrupt)
 			_ = os.Remove(path)
 		}
-		return nil, 0, false
+		return nil, false
 	}
 	span := obs.StartUnder(rec, nil, obs.PhaseTreeLoad)
-	payload, derr := decodeRecord(data)
-	var tree *core.Tree
-	if derr == nil {
-		tree, derr = core.Load(bytes.NewReader(payload), g)
-	}
+	tree, derr := core.Load(data, g)
 	span.End()
 	if derr != nil {
 		rec.Inc(obs.TreeStoreCorrupt)
 		_ = os.Remove(path)
-		return nil, 0, false
+		return nil, false
 	}
 	warm(tree)
 	rec.Inc(obs.TreeStoreDiskHits)
-	return tree, int64(len(payload)), true
+	return tree, true
 }
 
 // buildOpts is the rebuild configuration with the per-operation recorder
@@ -301,10 +278,11 @@ func warm(t *core.Tree) {
 // insertLocked caches a decoded tree and evicts from the cold end until
 // the budget holds (always keeping the newest entry, so one oversized
 // tree does not render the cache useless by thrashing).
-func (s *Store) insertLocked(key [32]byte, tree *core.Tree, size int64, rec *obs.Recorder) {
+func (s *Store) insertLocked(key [32]byte, tree *core.Tree, rec *obs.Recorder) {
 	if _, ok := s.entries[key]; ok {
 		return // a racing leader already cached it
 	}
+	size := tree.HeapBytes()
 	s.entries[key] = s.order.PushFront(&lruEntry{key: key, tree: tree, size: size})
 	s.bytes += size
 	for s.bytes > s.opt.MemBudget && s.order.Len() > 1 {
@@ -363,58 +341,15 @@ func (s *Store) pathOf(key [32]byte) string {
 	return filepath.Join(s.dir, h[:2], h+".tree")
 }
 
-// writeRecord frames and durably writes one record (a crash never leaves
-// a torn record in place — at worst a stray .tmp file, which loads
-// ignore).
-func (s *Store) writeRecord(key [32]byte, payload []byte) error {
+// writeRecord durably writes one record (a crash never leaves a torn
+// record in place — at worst a stray .tmp file, which loads ignore).
+func (s *Store) writeRecord(key [32]byte, data []byte) error {
 	path := s.pathOf(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
 	return store.WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(encodeRecord(payload))
+		_, err := w.Write(data)
 		return err
 	})
-}
-
-// encodeRecord frames a Save payload:
-//
-//	magic "DVTS" (4) | version u16 | reserved u16 | len u32 | payload |
-//	crc32 u32 (IEEE, over everything above)
-func encodeRecord(payload []byte) []byte {
-	out := make([]byte, recHdrLen, recHdrLen+len(payload)+4)
-	copy(out[:4], recMagic)
-	binary.LittleEndian.PutUint16(out[4:6], recVersion)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(len(payload)))
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-}
-
-// decodeRecord verifies a record's framing and checksum and returns the
-// payload, using the internal/store typed error set.
-func decodeRecord(data []byte) ([]byte, error) {
-	if len(data) < recHdrLen+4 {
-		return nil, fmt.Errorf("treestore: record of %d bytes: %w", len(data), store.ErrTruncated)
-	}
-	if string(data[:4]) != recMagic {
-		return nil, fmt.Errorf("treestore: %w", store.ErrBadMagic)
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != recVersion {
-		return nil, &store.VersionError{File: "tree record", Got: v, Want: recVersion}
-	}
-	plen := binary.LittleEndian.Uint32(data[8:12])
-	if plen > maxPayload {
-		return nil, fmt.Errorf("treestore: implausible payload length %d: %w", plen, store.ErrChecksum)
-	}
-	if uint64(len(data)) < uint64(recHdrLen)+uint64(plen)+4 {
-		return nil, fmt.Errorf("treestore: record ends mid-payload: %w", store.ErrTruncated)
-	}
-	if uint64(len(data)) > uint64(recHdrLen)+uint64(plen)+4 {
-		return nil, fmt.Errorf("treestore: %d trailing bytes: %w", uint64(len(data))-uint64(recHdrLen)-uint64(plen)-4, store.ErrChecksum)
-	}
-	body := data[:recHdrLen+plen]
-	if binary.LittleEndian.Uint32(data[recHdrLen+plen:]) != crc32.ChecksumIEEE(body) {
-		return nil, fmt.Errorf("treestore: %w", store.ErrChecksum)
-	}
-	return body[recHdrLen:], nil
 }

@@ -145,13 +145,15 @@ func recordPath(t *testing.T, dir string, cert []byte) string {
 
 // TestCorruptRecordFallsBackToRebuild: every flavor of on-disk damage —
 // bit flip, truncation, bad magic, version skew — must degrade to one
-// recompute and a rewritten record, never a query error.
+// recompute and a rewritten record, never a query error. A record from
+// a build before format version 2 ("v1") takes the same path once.
 func TestCorruptRecordFallsBackToRebuild(t *testing.T) {
 	corruptions := map[string]func([]byte) []byte{
 		"bitflip":  func(d []byte) []byte { d[len(d)/2] ^= 0x40; return d },
 		"truncate": func(d []byte) []byte { return d[:len(d)/2] },
 		"magic":    func(d []byte) []byte { copy(d[:4], "XXXX"); return d },
 		"version":  func(d []byte) []byte { d[4] = 99; return d },
+		"v1":       func(d []byte) []byte { d[4] = 1; return d },
 		"empty":    func(d []byte) []byte { return nil },
 	}
 	for name, corrupt := range corruptions {
@@ -212,6 +214,56 @@ func TestCorruptRecordFallsBackToRebuild(t *testing.T) {
 				t.Fatalf("healed record not served from disk (disk_hits=%d)", c)
 			}
 		})
+	}
+}
+
+// TestRecordUnderAnotherKeyIsRebuilt: C6 and two triangles have the same
+// vertex and edge counts. C6's record copied over the triangles' path
+// must not answer for them: it is counted corrupt, removed and rebuilt.
+func TestRecordUnderAnotherKeyIsRebuilt(t *testing.T) {
+	c6 := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
+	twoK3 := graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
+	c6Cert, twoK3Cert := certOf(t, c6), certOf(t, twoK3)
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cert := range [][]byte{c6Cert, twoK3Cert} {
+		if _, err := s.Get(context.Background(), cert); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	data, err := os.ReadFile(recordPath(t, dir, c6Cert))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(recordPath(t, dir, twoK3Cert), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := obs.New()
+	s2, err := Open(dir, Options{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	tree, err := s2.Get(context.Background(), twoK3Cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tree.AutOrder().Int64(); got != 72 {
+		t.Fatalf("|Aut(2K3)| = %d, want 72", got)
+	}
+	if err := tree.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if c := rec.Counter(obs.TreeStoreCorrupt); c != 1 {
+		t.Fatalf("treestore_corrupt = %d, want 1", c)
+	}
+	if c := rec.Counter(obs.TreeRebuilds); c != 1 {
+		t.Fatalf("tree_rebuilds = %d, want 1", c)
 	}
 }
 
@@ -401,29 +453,6 @@ func TestStrayTempFilesIgnored(t *testing.T) {
 	}
 	if c := rec.Counter(obs.TreeStoreDiskHits); c != 1 {
 		t.Fatalf("disk_hits = %d, want 1", c)
-	}
-}
-
-func TestRecordCodecCorruptionTyped(t *testing.T) {
-	payload := []byte("payload bytes")
-	rec := encodeRecord(payload)
-	if got, err := decodeRecord(rec); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip: %v", err)
-	}
-	for i := range rec {
-		mut := append([]byte(nil), rec...)
-		mut[i] ^= 0x01
-		if _, err := decodeRecord(mut); err == nil {
-			t.Fatalf("flip@%d accepted", i)
-		}
-	}
-	for cut := 0; cut < len(rec); cut++ {
-		if _, err := decodeRecord(rec[:cut]); err == nil {
-			t.Fatalf("truncation@%d accepted", cut)
-		}
-	}
-	if _, err := decodeRecord(append(rec, 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
 	}
 }
 
