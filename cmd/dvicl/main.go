@@ -103,8 +103,8 @@ func main() {
 		elapsed := time.Since(start)
 		fmt.Printf("%s: %v (nodes=%d leaves=%d)\n", *algo, elapsed.Round(time.Microsecond), res.Nodes, res.Leaves)
 		if *showStats {
-			fmt.Printf("prunings: first-path=%d best-path=%d orbit=%d backjumps=%d\n",
-				res.PruneFirstPath, res.PruneBestPath, res.PruneOrbit, res.Backjumps)
+			fmt.Printf("prunings: best-path=%d orbit=%d backjumps=%d\n",
+				res.PruneBestPath, res.PruneOrbit, res.Backjumps)
 		}
 		fmt.Printf("|Aut| = %v\n", group.New(g.N(), res.Generators).Order())
 		if *showOrbits {

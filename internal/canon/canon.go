@@ -3,7 +3,8 @@
 // a backtrack search tree whose nodes are equitable colorings, with a
 // target cell selector T, a node invariant φ (the refinement trace), the
 // three prunings P_A (first-path), P_B (best-path) and P_C (orbit), and
-// automorphism discovery against the leftmost leaf.
+// automorphism discovery against the leftmost leaf and the best leaf,
+// each followed by a backjump to the two leaves' deepest common ancestor.
 //
 // It plays the role of nauty, bliss and traces in the paper's evaluation.
 // The three tools differ chiefly in their target cell selector, so this
@@ -97,17 +98,15 @@ type Result struct {
 	Nodes int64
 	// Leaves is the number of leaves (discrete colorings) reached.
 	Leaves int64
-	// PruneFirstPath counts subtrees cut by the first-path invariant
-	// (P_A): the trace diverged from the leftmost leaf's while only
-	// automorphisms against it were still reachable.
-	PruneFirstPath int64
 	// PruneBestPath counts subtrees cut by the best-path invariant (P_B):
 	// the trace exceeded the current canonical candidate's, or the path
 	// had already left the candidate's path above.
 	PruneBestPath int64
 	// PruneOrbit counts candidates cut by orbit pruning (P_C).
 	PruneOrbit int64
-	// Backjumps counts bliss-style automorphism backjumps taken.
+	// Backjumps counts automorphism backjumps taken: after a leaf yields a
+	// new generator against the leftmost or the best leaf, the search
+	// returns to the two leaves' deepest common ancestor.
 	Backjumps int64
 	// Truncated reports that MaxNodes was hit; Canon/Cert are then
 	// best-effort only.
@@ -147,14 +146,13 @@ func CanonicalCtl(ctl *engine.Ctl, ws *engine.Workspace, g *graph.Graph, pi *col
 		s.run(pi)
 	}
 	res := Result{
-		Generators:     s.gens,
-		Nodes:          s.nodes,
-		Leaves:         s.leaves,
-		PruneFirstPath: s.pruneFirst,
-		PruneBestPath:  s.pruneBest,
-		PruneOrbit:     s.pruneOrbit,
-		Backjumps:      s.backjumps,
-		Truncated:      s.truncated,
+		Generators:    s.gens,
+		Nodes:         s.nodes,
+		Leaves:        s.leaves,
+		PruneBestPath: s.pruneBest,
+		PruneOrbit:    s.pruneOrbit,
+		Backjumps:     s.backjumps,
+		Truncated:     s.truncated,
 	}
 	if s.best != nil && s.stopErr == nil {
 		res.Canon = s.best.gamma
@@ -163,7 +161,6 @@ func CanonicalCtl(ctl *engine.Ctl, ws *engine.Workspace, g *graph.Graph, pi *col
 	if rec := opt.Obs; rec != nil {
 		rec.Add(obs.SearchNodes, res.Nodes)
 		rec.Add(obs.SearchLeaves, res.Leaves)
-		rec.Add(obs.PruneFirstPath, res.PruneFirstPath)
 		rec.Add(obs.PruneBestPath, res.PruneBestPath)
 		rec.Add(obs.PruneOrbit, res.PruneOrbit)
 		rec.Add(obs.Automorphisms, int64(len(res.Generators)))
@@ -204,7 +201,6 @@ type search struct {
 	genSet     map[string]bool // packed-image dedup keys of gens
 	nodes      int64
 	leaves     int64
-	pruneFirst int64
 	pruneBest  int64
 	pruneOrbit int64
 	backjumps  int64
@@ -212,11 +208,9 @@ type search struct {
 	// stopErr latches the controller's ErrCanceled/ErrBudgetExceeded; the
 	// recursion unwinds without visiting further nodes once it is set.
 	stopErr error
-	// backjump, when ≥ 0, unwinds the recursion to the node at that depth
-	// (bliss-style automorphism backjumping: after discovering an
-	// automorphism against the leftmost leaf, everything between the
-	// current position and the deepest common ancestor with the first
-	// path yields only derivable automorphisms).
+	// backjump, when ≥ 0, unwinds the recursion to the node at that
+	// depth: the fork jumpToFork set after an automorphism against the
+	// leftmost or the best leaf.
 	backjump int
 
 	// trace and path are the shared depth stacks of the recursion: at a
@@ -493,30 +487,41 @@ func (s *search) visitLeaf(c *coloring.Coloring) {
 		path: append([]int(nil), s.path...)}
 	if s.first == nil {
 		s.first = l
-	} else if bytes.Equal(cert, s.first.cert) {
-		if s.addAutomorphism(l.gamma, s.first.gamma) {
-			// Backjump to the deepest common ancestor with the first path.
-			cp := 0
-			for cp < len(l.path) && cp < len(s.first.path) && l.path[cp] == s.first.path[cp] {
-				cp++
-			}
-			s.backjump = cp
-			s.backjumps++
-		}
+	} else if bytes.Equal(cert, s.first.cert) && s.addAutomorphism(l.gamma, s.first.gamma) {
+		s.jumpToFork(l, s.first)
 	}
 	if s.best == nil {
 		s.best = l
 		return
 	}
-	cmp := compareLeaves(l, s.best)
-	switch {
+	switch cmp := compareLeaves(l, s.best); {
 	case cmp < 0:
 		s.best = l
-	case cmp == 0 && bytes.Equal(cert, s.best.cert) && l != s.best:
+	case cmp == 0:
 		// Same canonical candidate reached along a different path: an
-		// automorphism relating the two leaves.
-		s.addAutomorphism(l.gamma, s.best.gamma)
+		// automorphism relating the two leaves. A leaf takes at most one
+		// backjump, so a jump set against the first leaf stands.
+		if s.addAutomorphism(l.gamma, s.best.gamma) && s.backjump < 0 {
+			s.jumpToFork(l, s.best)
+		}
 	}
+}
+
+// jumpToFork backjumps to the deepest common ancestor of leaf l and an
+// earlier leaf ref with the same certificate. The automorphism
+// δ = γ_l ∘ γ_ref⁻¹ maps l's path onto ref's (distinct paths end in
+// distinct discrete colorings), so δ fixes their common prefix and maps
+// l's ancestor one level below the fork onto ref's ancestor there, whose
+// subtree the depth-first search has already finished. The rest of l's
+// subtree holds only images of leaves already seen: no new canonical
+// candidate, and only automorphisms the generators already derive.
+func (s *search) jumpToFork(l, ref *leaf) {
+	cp := 0
+	for cp < len(l.path) && cp < len(ref.path) && l.path[cp] == ref.path[cp] {
+		cp++
+	}
+	s.backjump = cp
+	s.backjumps++
 }
 
 // compareLeaves orders leaves by (trace vector, certificate), with a

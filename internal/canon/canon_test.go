@@ -61,7 +61,13 @@ func randGraph(r *rand.Rand, n int, p int) *graph.Graph {
 
 func autOrder(t *testing.T, g *graph.Graph, opt Options) *big.Int {
 	t.Helper()
-	res := Canonical(g, nil, opt)
+	return checkedOrder(t, g, Canonical(g, nil, opt))
+}
+
+// checkedOrder returns the order of the group res's generators generate,
+// after checking that each is an automorphism of g.
+func checkedOrder(t *testing.T, g *graph.Graph, res Result) *big.Int {
+	t.Helper()
 	if res.Truncated {
 		t.Fatalf("search truncated")
 	}

@@ -34,7 +34,6 @@ func TestResultMatchesRecorder(t *testing.T) {
 		}{
 			{obs.SearchNodes, res.Nodes},
 			{obs.SearchLeaves, res.Leaves},
-			{obs.PruneFirstPath, res.PruneFirstPath},
 			{obs.PruneBestPath, res.PruneBestPath},
 			{obs.PruneOrbit, res.PruneOrbit},
 			{obs.Backjumps, res.Backjumps},
@@ -52,7 +51,7 @@ func TestResultMatchesRecorder(t *testing.T) {
 
 	// The Petersen graph has |Aut| = 120, so orbit pruning must have fired.
 	res := Canonical(petersen(), nil, Options{})
-	if res.PruneOrbit == 0 && res.PruneFirstPath == 0 && res.PruneBestPath == 0 {
+	if res.PruneOrbit == 0 && res.PruneBestPath == 0 {
 		t.Errorf("no pruning on the Petersen graph: %+v", res)
 	}
 }

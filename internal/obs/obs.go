@@ -30,14 +30,13 @@ const (
 	CellSplits                  // new cell fragments created by splitting
 
 	// internal/canon — individualization–refinement search.
-	SearchNodes    // search-tree nodes visited
-	SearchLeaves   // discrete colorings (leaves) reached
-	PruneFirstPath // P_A hits: subtree cut by the first-path invariant
-	PruneBestPath  // P_B hits: subtree cut by the best-path invariant
-	PruneOrbit     // P_C hits: candidate cut by orbit pruning
-	Automorphisms  // distinct non-identity generators discovered
-	Backjumps      // bliss-style automorphism backjumps taken
-	Truncations    // searches aborted by MaxNodes or Deadline
+	SearchNodes   // search-tree nodes visited
+	SearchLeaves  // discrete colorings (leaves) reached
+	PruneBestPath // P_B hits: subtree cut by the best-path invariant
+	PruneOrbit    // P_C hits: candidate cut by orbit pruning
+	Automorphisms // distinct non-identity generators discovered
+	Backjumps     // automorphism backjumps (against the first or the best leaf)
+	Truncations   // searches aborted by MaxNodes or Deadline
 
 	// internal/core — DviCL divide & combine.
 	DivideICalls       // DivideI attempts (Algorithm 2)
@@ -103,7 +102,6 @@ var counterInfo = [numCounters]struct{ name, help string }{
 	CellSplits:         {"cell_splits", "New cell fragments created by refinement splitting."},
 	SearchNodes:        {"search_nodes", "Search-tree nodes visited by the leaf engine."},
 	SearchLeaves:       {"search_leaves", "Discrete colorings (leaves) reached by the leaf engine."},
-	PruneFirstPath:     {"prune_first_path", "Subtrees cut by the first-path invariant (P_A)."},
 	PruneBestPath:      {"prune_best_path", "Subtrees cut by the best-path invariant (P_B)."},
 	PruneOrbit:         {"prune_orbit", "Candidates cut by orbit pruning (P_C)."},
 	Automorphisms:      {"automorphisms", "Distinct non-identity automorphism generators discovered."},
