@@ -20,8 +20,8 @@
 // (internal/perfbench) instead of the tables and writes a versioned
 // BENCH_<tag>.json artifact for cmd/benchdiff to compare:
 //
-//	benchtables -perfbench results/BENCH_PR18.json -perfbench-quick \
-//	            -perfbench-tag PR18
+//	benchtables -perfbench results/BENCH_PR20.json -perfbench-quick \
+//	            -perfbench-tag PR20
 //	benchtables -perfbench /tmp/BENCH_ci.json -perfbench-quick \
 //	            -profile-dir /tmp/pprof
 //

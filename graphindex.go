@@ -18,6 +18,13 @@ import (
 // ErrIndexClosed is returned by operations on a GraphIndex after Close.
 var ErrIndexClosed = errors.New("dvicl: graph index closed")
 
+// SchemeError is what OpenGraphIndex returns (match it with errors.As)
+// for an index written under another certificate scheme than this
+// build's: its certificates are not comparable with the ones this build
+// computes, so the index must be re-ingested from its source graphs.
+// Got and Want name the two schemes.
+type SchemeError = store.SchemeError
+
 // Defaults for IndexOptions zero values.
 const (
 	defaultCacheSize    = 4096
@@ -287,12 +294,13 @@ func (ix *GraphIndex) persistWorker() {
 
 // OpenGraphIndex opens an index. With a directory it is durable: dir is
 // created if needed and the snapshot and WAL of every shard found there
-// are replayed (Stats reports what was recovered). With dir == "" the
-// index lives in memory and starts empty; the persistence knobs are
-// ignored and any tree stores are memory-only. See IndexOptions for the
-// knobs. The caller must Close the index: a durable one releases its
-// WALs and writes final snapshots, and Close stops the tree-store
-// persist workers either way.
+// are replayed (Stats reports what was recovered); an index written
+// under another certificate scheme fails with a *SchemeError. With
+// dir == "" the index lives in memory and starts empty; the persistence
+// knobs are ignored and any tree stores are memory-only. See
+// IndexOptions for the knobs. The caller must Close the index: a durable
+// one releases its WALs and writes final snapshots, and Close stops the
+// tree-store persist workers either way.
 func OpenGraphIndex(dir string, opt IndexOptions) (*GraphIndex, error) {
 	nShards := max(opt.Shards, 1)
 	if nShards > store.MaxShards {

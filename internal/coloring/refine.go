@@ -46,9 +46,10 @@ const pollRounds = 256
 // refine repeatedly should hold their own workspace and call RefineWS.
 func (c *Coloring) Refine(g *graph.Graph, active []int) uint64 {
 	w := engine.GetWorkspace(c.N())
-	h, _, _, _ := c.refineWS(g, active, w, nil)
+	t := tracer{h: fnvOffset}
+	c.refineWS(g, active, w, nil, &t)
 	engine.PutWorkspace(w)
-	return h
+	return t.h
 }
 
 // RefineWS is the full-control refinement entry: it runs in the caller's
@@ -63,18 +64,133 @@ func (c *Coloring) Refine(g *graph.Graph, active []int) uint64 {
 // trace hash must not be used. ctl and rec may be nil; w must not be
 // shared with a concurrent refinement.
 func (c *Coloring) RefineWS(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, rec *obs.Recorder) (uint64, error) {
-	h, rounds, splits, err := c.refineWS(g, active, w, ctl)
+	t := tracer{h: fnvOffset}
+	rounds, splits, err := c.refineWS(g, active, w, ctl, &t)
 	rec.Inc(obs.RefineCalls)
 	rec.Add(obs.RefineRounds, rounds)
 	rec.Add(obs.CellSplits, splits)
-	return h, err
+	return t.h, err
 }
 
-func (c *Coloring) refineWS(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl) (trace uint64, rounds, splits int64, err error) {
+// Refs are the references a search refinement is compared with while it
+// runs: the ordered traces the first leaf's and the best leaf's
+// refinements produced at the same search level. A nil field is a
+// reference the refinement cannot match.
+type Refs struct {
+	First []uint64
+	Best  []uint64
+}
+
+// Verdict is how a search refinement's ordered trace compares with its
+// Refs. Traces are ordered lexicographically, a proper prefix first.
+type Verdict struct {
+	// Aborted reports that the refinement stopped at a round boundary
+	// because its trace could no longer equal Refs.First nor be at most
+	// Refs.Best. The coloring is then under-refined and the hash unusable.
+	Aborted bool
+	// First reports that the trace equals Refs.First.
+	First bool
+	// Best is −1, 0 or +1 as the trace is below, equal to or above
+	// Refs.Best; +1 when Refs.Best is nil.
+	Best int
+}
+
+// RefineSearch is the backtrack search's refinement entry. It refines
+// exactly like RefineWS, returns the same trace hash and reports the same
+// counters, and also appends to *vals the node's ordered trace: every
+// value the hash mixes, in order, including the final cell fold. With
+// refs nil nothing is compared and the Verdict is meaningless. Otherwise
+// each value is compared with refs as it is produced, and at each round
+// boundary the refinement stops as soon as the trace can match neither
+// reference; such a refinement also counts in obs.RefineAborts, and the
+// values it appended are only a prefix.
+func (c *Coloring) RefineSearch(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, rec *obs.Recorder, vals *[]uint64, refs *Refs) (uint64, Verdict, error) {
+	t := tracer{h: fnvOffset, record: true, vals: *vals, base: len(*vals), refs: refs, best: 1}
+	if refs != nil {
+		t.first = refs.First != nil
+		if refs.Best != nil {
+			t.best = 0
+		}
+	}
+	rounds, splits, err := c.refineWS(g, active, w, ctl, &t)
+	*vals = t.vals
+	rec.Inc(obs.RefineCalls)
+	rec.Add(obs.RefineRounds, rounds)
+	rec.Add(obs.CellSplits, splits)
+	switch {
+	case err != nil || refs == nil:
+		return t.h, Verdict{}, err
+	case t.rejected():
+		rec.Inc(obs.RefineAborts)
+		return t.h, Verdict{Aborted: true, Best: 1}, nil
+	}
+	return t.h, t.verdict(), nil
+}
+
+// tracer accumulates a refinement's trace: the FNV-1a hash of the values
+// the refinement emits and, for a search refinement, the values
+// themselves, each compared with the references as it arrives.
+type tracer struct {
+	h      uint64
+	record bool
+	vals   []uint64
+	base   int // len(vals) when this refinement began
+	refs   *Refs
+	first  bool // the values so far are a prefix of refs.First
+	best   int  // 0 while a prefix of refs.Best; −1 or +1 once they differ
+}
+
+// emit mixes x into the trace hash and, when recording, into the ordered
+// trace.
+func (t *tracer) emit(x uint64) {
+	t.h = mix(t.h, x)
+	if t.record {
+		t.append(x)
+	}
+}
+
+func (t *tracer) append(x uint64) {
+	i := len(t.vals) - t.base
+	t.vals = append(t.vals, x)
+	if t.refs == nil {
+		return
+	}
+	if t.first && (i >= len(t.refs.First) || t.refs.First[i] != x) {
+		t.first = false
+	}
+	if t.best == 0 {
+		switch {
+		case i >= len(t.refs.Best) || x > t.refs.Best[i]:
+			t.best = 1
+		case x < t.refs.Best[i]:
+			t.best = -1
+		}
+	}
+}
+
+// rejected reports that the trace so far can match neither reference:
+// it has left refs.First and exceeds refs.Best.
+func (t *tracer) rejected() bool {
+	return t.refs != nil && !t.first && t.best > 0
+}
+
+// verdict compares the finished trace with the references.
+func (t *tracer) verdict() Verdict {
+	n := len(t.vals) - t.base
+	v := Verdict{First: t.first && n == len(t.refs.First), Best: t.best}
+	if t.best == 0 && n < len(t.refs.Best) {
+		v.Best = -1
+	}
+	return v
+}
+
+// refineWS refines c and leaves the trace in t. It returns early, with
+// the coloring under-refined and w's invariants restored, on cancellation
+// and once t is rejected.
+func (c *Coloring) refineWS(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, t *tracer) (rounds, splits int64, err error) {
 	n := c.N()
-	h := uint64(fnvOffset)
 	if n == 0 {
-		return h, 0, 0, nil
+		return 0, 0, nil
 	}
 	w.Grow(n)
 	inWork := w.Marks
@@ -102,7 +218,7 @@ func (c *Coloring) refineWS(g *graph.Graph, active []int, w *engine.Workspace, c
 	// queue's backing array survives for the next refinement in this
 	// workspace.
 	head := 0
-	for head < len(w.Queue) {
+	for head < len(w.Queue) && !t.rejected() {
 		if rounds%pollRounds == 0 {
 			if err = ctl.Poll(); err != nil {
 				break
@@ -113,7 +229,7 @@ func (c *Coloring) refineWS(g *graph.Graph, active []int, w *engine.Workspace, c
 		inWork[ws] = false
 		rounds++
 		we := c.ce[ws]
-		h = mix(h, uint64(ws)<<32|uint64(we))
+		t.emit(uint64(ws)<<32 | uint64(we))
 
 		// Count splitter-neighbors for every adjacent vertex.
 		touched = touched[:0]
@@ -148,9 +264,7 @@ func (c *Coloring) refineWS(g *graph.Graph, active []int, w *engine.Workspace, c
 			for j < len(touched) && c.cs[c.pos[touched[j]]] == s {
 				j++
 			}
-			var added int
-			h, added = c.splitTouched(s, touched[i:j], cnt, h, w)
-			splits += int64(added)
+			splits += int64(c.splitTouched(s, touched[i:j], cnt, t, w))
 			i = j
 		}
 		for _, v := range touched {
@@ -160,30 +274,31 @@ func (c *Coloring) refineWS(g *graph.Graph, active []int, w *engine.Workspace, c
 			break
 		}
 	}
-	// Restore the workspace invariants: cells still queued (early break
-	// or cancellation) keep their mark only for the queue's lifetime.
+	// Restore the workspace invariants: cells still queued (early break,
+	// cancellation or a rejected trace) keep their mark only for the
+	// queue's lifetime.
 	for ; head < len(w.Queue); head++ {
 		inWork[w.Queue[head]] = false
 	}
 	w.Queue = w.Queue[:0]
 	w.Touched = touched[:0]
 	w.Keys = keys[:0]
-	if err != nil {
-		return h, rounds, splits, err
+	if err != nil || t.rejected() {
+		return rounds, splits, err
 	}
-	// Fold the final cell structure into the hash.
+	// Fold the final cell structure into the trace.
 	for s := 0; s < n; s = c.ce[s] {
-		h = mix(h, uint64(s)<<32|uint64(c.ce[s]-s))
+		t.emit(uint64(s)<<32 | uint64(c.ce[s]-s))
 	}
-	return h, rounds, splits, nil
+	return rounds, splits, nil
 }
 
 // splitTouched splits the cell starting at s given its touched members
 // (sorted by ascending count); untouched members keep count zero and stay
-// in place as the first fragment. Runs in O(len(group)). It returns the
-// updated trace hash and the number of new cell fragments created. New
+// in place as the first fragment. Runs in O(len(group)). It emits the
+// split into tr and returns the number of new cell fragments created. New
 // fragments are enqueued on w.Queue per the Hopcroft rule.
-func (c *Coloring) splitTouched(s int, group []int, cnt []int, h uint64, w *engine.Workspace) (uint64, int) {
+func (c *Coloring) splitTouched(s int, group []int, cnt []int, tr *tracer, w *engine.Workspace) int {
 	e := c.ce[s]
 	t := len(group)
 	zeros := (e - s) - t
@@ -197,7 +312,8 @@ func (c *Coloring) splitTouched(s int, group []int, cnt []int, h uint64, w *engi
 	}
 	if zeros == 0 && oneCount {
 		// Whole cell has one uniform count: no split.
-		return mix(h, uint64(s)<<32|uint64(cnt[group[0]])), 0
+		tr.emit(uint64(s)<<32 | uint64(cnt[group[0]]))
+		return 0
 	}
 	// Move touched members to the cell's tail, descending count from the
 	// back, so fragments end up ordered: zeros first, then ascending
@@ -222,8 +338,8 @@ func (c *Coloring) splitTouched(s int, group []int, cnt []int, h uint64, w *engi
 	if zeros > 0 {
 		c.ce[s] = s + zeros
 		frags = append(frags, [2]int{s, s + zeros})
-		h = mix(h, uint64(s)<<32|uint64(zeros))
-		h = mix(h, 0)
+		tr.emit(uint64(s)<<32 | uint64(zeros))
+		tr.emit(0)
 	}
 	gs := e - t
 	for k := 0; k < t; {
@@ -237,8 +353,8 @@ func (c *Coloring) splitTouched(s int, group []int, cnt []int, h uint64, w *engi
 		}
 		c.ce[fs] = fe
 		frags = append(frags, [2]int{fs, fe})
-		h = mix(h, uint64(fs)<<32|uint64(fe-fs))
-		h = mix(h, uint64(cnt[c.lab[fs]]))
+		tr.emit(uint64(fs)<<32 | uint64(fe-fs))
+		tr.emit(uint64(cnt[c.lab[fs]]))
 		k = k2
 	}
 	c.nc += len(frags) - 1
@@ -259,7 +375,7 @@ func (c *Coloring) splitTouched(s int, group []int, cnt []int, h uint64, w *engi
 		}
 	}
 	w.Frags = frags[:0]
-	return h, len(frags) - 1
+	return len(frags) - 1
 }
 
 // IsEquitable reports whether c is equitable with respect to g: for every

@@ -13,10 +13,14 @@ import (
 )
 
 // hardGraph returns a CFI construction whose full canonical build takes
-// minutes — effectively unbounded on test timescales — so cancellation
-// and budget tests are guaranteed to interrupt it mid-flight.
+// about half a second at 4 workers on a 2-vCPU VM — ten times the 50 ms
+// head start TestBuildCtxCancelPrompt gives it, and far past the 30 ms
+// build budgets — so cancellation and budget tests are guaranteed to
+// interrupt it mid-flight. (Over 100 base vertices it took 0.12 s, and
+// 0.06 s once refinements stopped at the first event that rules a child
+// out: too close to those head starts.)
 func hardGraph() *graph.Graph {
-	return gen.CFI(gen.RigidCubic(100, 1), false)
+	return gen.CFI(gen.RigidCubic(200, 1), false)
 }
 
 // TestBuildCtxCancelPrompt is the acceptance race test: cancel a build

@@ -20,8 +20,8 @@ import "sync"
 //   - Counts[i] == 0 for all i < len(Counts)
 //   - Marks[i] == false, Bits[i] == false for all i
 //   - LocalIdx[i] == 0, ColorCount[i] == 0 for all i
-//   - Queue, Touched, Keys, Frags, IntsA, IntsB, IntsC, Bytes have
-//     length 0 (capacity retained)
+//   - Queue, Touched, Keys, Frags, IntsA, IntsB, IntsC, Bytes, Trace
+//     have length 0 (capacity retained)
 //   - PairCount is empty (buckets retained)
 //   - Arena is fully released (every Mark matched by a Release)
 //
@@ -68,6 +68,11 @@ type Workspace struct {
 	// Bytes is a length-0 byte list buffer for building descriptors and
 	// hash preimages inside one non-recursive call.
 	Bytes []byte
+	// Trace is the leaf search's ordered-trace stack (internal/canon):
+	// the values of every refinement on the current search path. One
+	// search holds it for its whole run, across its own recursion; Grow
+	// and every other consumer leave it alone.
+	Trace []uint64
 	// PairCount counts edges per packed (color, color) pair during
 	// DivideS (empty-between-uses invariant; cleared with clear so the
 	// buckets are retained).

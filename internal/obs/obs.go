@@ -28,6 +28,7 @@ const (
 	RefineCalls  Counter = iota // trace hashes computed (one per Refine)
 	RefineRounds                // splitter cells processed off the worklist
 	CellSplits                  // new cell fragments created by splitting
+	RefineAborts                // search refinements stopped early by the ordered trace
 
 	// internal/canon — individualization–refinement search.
 	SearchNodes   // search-tree nodes visited
@@ -100,6 +101,7 @@ var counterInfo = [numCounters]struct{ name, help string }{
 	RefineCalls:        {"refine_calls", "Equitable-refinement trace hashes computed (one per Refine)."},
 	RefineRounds:       {"refine_rounds", "Splitter cells processed off the refinement worklist."},
 	CellSplits:         {"cell_splits", "New cell fragments created by refinement splitting."},
+	RefineAborts:       {"refine_aborts", "Search refinements stopped early because their ordered trace could match neither reference leaf."},
 	SearchNodes:        {"search_nodes", "Search-tree nodes visited by the leaf engine."},
 	SearchLeaves:       {"search_leaves", "Discrete colorings (leaves) reached by the leaf engine."},
 	PruneBestPath:      {"prune_best_path", "Subtrees cut by the best-path invariant (P_B)."},

@@ -212,7 +212,7 @@ func TestReadRejectsBadSchemaFixture(t *testing.T) {
 // stay schema-valid and self-diff clean, or the CI gate is comparing
 // against garbage.
 func TestCommittedBaseline(t *testing.T) {
-	f, err := ReadFile(filepath.Join("..", "..", "results", "BENCH_PR18.json"))
+	f, err := ReadFile(filepath.Join("..", "..", "results", "BENCH_PR20.json"))
 	if err != nil {
 		t.Fatalf("committed baseline: %v", err)
 	}

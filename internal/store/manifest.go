@@ -14,7 +14,7 @@ import (
 // root instead holds a manifest plus one subdirectory per shard, each an
 // independent snapshot+WAL pair:
 //
-//	index.manifest          {"version":1,"shards":16}
+//	index.manifest          {"version":1,"shards":16,"cert_scheme":1}
 //	shard-000/index.snap
 //	shard-000/index.wal
 //	shard-001/…
@@ -35,18 +35,21 @@ const MaxShards = 4096
 // index was created with an AutoTree store (a trees/ subdirectory per
 // shard); it is informational — the layout is self-describing, and the
 // field is optional so pre-treestore manifests stay readable and older
-// builds ignore it.
+// builds ignore it. Scheme is the certificate scheme (CertScheme) the
+// index was written under; a manifest without one is scheme 0.
 type Manifest struct {
 	Version   uint16 `json:"version"`
 	Shards    int    `json:"shards"`
 	TreeStore bool   `json:"tree_store,omitempty"`
+	Scheme    uint16 `json:"cert_scheme"`
 }
 
 // ShardDir returns the subdirectory name of shard i ("shard-007").
 func ShardDir(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
 // ReadManifest loads and validates dir's manifest. A missing manifest
-// returns an error matching os.ErrNotExist (the single-shard layout).
+// returns an error matching os.ErrNotExist (the single-shard layout); one
+// written under another certificate scheme, a *SchemeError.
 func ReadManifest(dir string) (Manifest, error) {
 	var m Manifest
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -62,11 +65,15 @@ func ReadManifest(dir string) (Manifest, error) {
 	if m.Shards < 1 || m.Shards > MaxShards {
 		return m, fmt.Errorf("store: %s: implausible shard count %d: %w", ManifestName, m.Shards, ErrChecksum)
 	}
+	if m.Scheme != CertScheme {
+		return m, &SchemeError{File: ManifestName, Got: m.Scheme, Want: CertScheme}
+	}
 	return m, nil
 }
 
 // WriteManifest creates dir's manifest via a temporary file, fsync, and
 // atomic rename, so a crash mid-creation never leaves a torn manifest.
+// It stamps this build's format version and certificate scheme.
 func WriteManifest(dir string, m Manifest) error {
 	if m.Shards < 1 || m.Shards > MaxShards {
 		return fmt.Errorf("store: manifest shard count %d out of range [1,%d]", m.Shards, MaxShards)
@@ -74,6 +81,7 @@ func WriteManifest(dir string, m Manifest) error {
 	if m.Version == 0 {
 		m.Version = Version
 	}
+	m.Scheme = CertScheme
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err

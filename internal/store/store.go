@@ -9,11 +9,12 @@
 // Both are versioned, checksummed binary formats (see the format comments
 // below). The recovery contract is:
 //
-//   - A snapshot must verify end to end — magic, version, record framing
-//     and the trailing CRC — or loading fails with a typed error
-//     (ErrBadMagic, *VersionError, ErrChecksum, ErrTruncated). A snapshot
-//     is written to a temporary file and atomically renamed into place, so
-//     a crash during compaction never corrupts the previous snapshot.
+//   - A snapshot must verify end to end — magic, version, certificate
+//     scheme, record framing and the trailing CRC — or loading fails with
+//     a typed error (ErrBadMagic, *VersionError, *SchemeError,
+//     ErrChecksum, ErrTruncated). A snapshot is written to a temporary
+//     file and atomically renamed into place, so a crash during
+//     compaction never corrupts the previous snapshot.
 //
 //   - A WAL may legitimately end mid-record after a crash (the torn tail
 //     of the write in flight at kill -9). Open truncates a torn tail and
@@ -54,6 +55,14 @@ const (
 	walMagic  = "DVIW"
 	// Version is the current on-disk format version of both files.
 	Version uint16 = 1
+	// CertScheme identifies the canonical labeling whose certificates
+	// this build stores; the manifest and the snapshot and WAL headers
+	// record it. Any change that moves a certificate must increment it:
+	// certificates of two schemes are not comparable, so a graph added
+	// to an index of the old scheme would start a new class beside its
+	// own. Scheme 0 is every index written before the leaf search
+	// ordered its traces as value sequences.
+	CertScheme uint16 = 1
 	// maxRecordLen caps a single certificate's encoded size; a length
 	// field beyond it is treated as corruption rather than attempted as
 	// an allocation.
@@ -90,6 +99,22 @@ type VersionError struct {
 // Error implements the error interface.
 func (e *VersionError) Error() string {
 	return fmt.Sprintf("store: %s: format version %d, this build reads %d", e.File, e.Got, e.Want)
+}
+
+// SchemeError reports an index written under another certificate scheme
+// than this build's (CertScheme). Its certificates are not comparable
+// with the ones this build computes, so it must be re-ingested from its
+// source graphs.
+type SchemeError struct {
+	File string
+	Got  uint16
+	Want uint16
+}
+
+// Error implements the error interface.
+func (e *SchemeError) Error() string {
+	return fmt.Sprintf("store: %s: certificate scheme %d, this build writes scheme %d; re-ingest the index from its source graphs",
+		e.File, e.Got, e.Want)
 }
 
 // Options configures a Store.
@@ -294,6 +319,7 @@ func (s *Store) writeWALHeader() error {
 	var hdr [walHeaderLen]byte
 	copy(hdr[:4], walMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], Version)
+	binary.LittleEndian.PutUint16(hdr[6:8], CertScheme)
 	if _, err := s.wal.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -318,7 +344,7 @@ func (s *Store) Close() error {
 // Layout (little-endian):
 //
 //	magic   "DVIS"                      4 bytes
-//	version uint16 + reserved uint16    4 bytes
+//	version uint16 + cert scheme uint16 4 bytes
 //	count   uint64                      8 bytes
 //	count × { len uint32, bytes }       framed certificates
 //	crc32   uint32 (IEEE, over everything above)
@@ -372,6 +398,7 @@ func WriteSnapshot(w io.Writer, certs []string) error {
 	var hdr [16]byte
 	copy(hdr[:4], snapMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], Version)
+	binary.LittleEndian.PutUint16(hdr[6:8], CertScheme)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(certs)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
@@ -438,6 +465,9 @@ func ReadSnapshot(r io.Reader) ([]string, error) {
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != Version {
 		return nil, &VersionError{File: SnapshotName, Got: v, Want: Version}
 	}
+	if cs := binary.LittleEndian.Uint16(hdr[6:8]); cs != CertScheme {
+		return nil, &SchemeError{File: SnapshotName, Got: cs, Want: CertScheme}
+	}
 	count := binary.LittleEndian.Uint64(hdr[8:16])
 	// count is not trusted either: preallocate at most 64 KiB of headers.
 	certs := make([]string, 0, int(min(count, 1<<12)))
@@ -470,7 +500,7 @@ func ReadSnapshot(r io.Reader) ([]string, error) {
 // ---- WAL codec ----
 //
 // File header (little-endian): magic "DVIW" (4) + version uint16 +
-// reserved uint16. Then records:
+// cert scheme uint16. Then records:
 //
 //	len  uint32  — payload (certificate) length
 //	seq  uint64  — certificate id this record appends
@@ -489,6 +519,9 @@ func readWALHeader(br *bufio.Reader) error {
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != Version {
 		return &VersionError{File: WALName, Got: v, Want: Version}
+	}
+	if cs := binary.LittleEndian.Uint16(hdr[6:8]); cs != CertScheme {
+		return &SchemeError{File: WALName, Got: cs, Want: CertScheme}
 	}
 	return nil
 }

@@ -353,6 +353,7 @@ func TestSizeBombsAllocateLittle(t *testing.T) {
 		b := make([]byte, 16, 20)
 		copy(b, snapMagic)
 		binary.LittleEndian.PutUint16(b[4:6], Version)
+		binary.LittleEndian.PutUint16(b[6:8], CertScheme)
 		binary.LittleEndian.PutUint64(b[8:16], count)
 		if recordLen > 0 {
 			b = binary.LittleEndian.AppendUint32(b, recordLen)
