@@ -1,6 +1,8 @@
 package dvicl
 
 import (
+	"context"
+	"fmt"
 	"math/big"
 	"strings"
 	"testing"
@@ -129,6 +131,40 @@ func TestFacadeColoring(t *testing.T) {
 	}
 	if UnitColoring(4).NumCells() != 1 {
 		t.Fatal("unit coloring wrong")
+	}
+}
+
+// TestColoringSizeMismatch: a coloring of another size than the graph is
+// an error from the context entry points and a panic naming both sizes
+// from the others, never an index out of range.
+func TestColoringSizeMismatch(t *testing.T) {
+	c5 := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
+	ctx := context.Background()
+	for _, k := range []int{3, 7} {
+		pi := UnitColoring(k)
+		sizes := func(msg string) bool {
+			return strings.Contains(msg, fmt.Sprintf("%d vertices", k)) && strings.Contains(msg, "has 5")
+		}
+		if _, err := BuildAutoTreeCtx(ctx, c5, pi, Options{}); err == nil || !sizes(err.Error()) {
+			t.Errorf("BuildAutoTreeCtx with %d colors: err = %v", k, err)
+		}
+		if _, err := CanonicalCertCtx(ctx, c5, pi, Options{}); err == nil || !sizes(err.Error()) {
+			t.Errorf("CanonicalCertCtx with %d colors: err = %v", k, err)
+		}
+		for name, call := range map[string]func(){
+			"BuildAutoTree": func() { BuildAutoTree(c5, pi, Options{}) },
+			"Baseline":      func() { Baseline(c5, pi, BaselineOptions{}) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !sizes(msg) {
+						t.Errorf("%s with %d colors: panic %q, want one naming both sizes", name, k, msg)
+					}
+				}()
+				call()
+			}()
+		}
 	}
 }
 

@@ -23,8 +23,8 @@ package canon
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"time"
 
@@ -118,8 +118,13 @@ type Result struct {
 
 // Canonical computes the canonical labeling of the colored graph (g, pi).
 // pi may be nil for the unit coloring. pi is not modified.
+// It panics if pi does not color g's vertices; a nil Ctl never stops the
+// search, so that is the only error CanonicalCtl can return here.
 func Canonical(g *graph.Graph, pi *coloring.Coloring, opt Options) Result {
-	res, _ := CanonicalCtl(nil, nil, g, pi, opt) // nil Ctl never stops the search
+	res, err := CanonicalCtl(nil, nil, g, pi, opt)
+	if err != nil {
+		panic("canon.Canonical: " + err.Error())
+	}
 	return res
 }
 
@@ -127,10 +132,14 @@ func Canonical(g *graph.Graph, pi *coloring.Coloring, opt Options) Result {
 // every search-tree node (whole-build node budget, cancellation), and
 // the search refines in ws rather than allocating. On ErrCanceled /
 // ErrBudgetExceeded the Result carries the partial effort statistics but
-// no usable labeling. ctl and ws may be nil (ws is then drawn from the
-// engine pool); ws must not be shared with a concurrent search.
+// no usable labeling. A coloring of another size than g is an error.
+// ctl and ws may be nil (ws is then drawn from the engine pool); ws must
+// not be shared with a concurrent search.
 func CanonicalCtl(ctl *engine.Ctl, ws *engine.Workspace, g *graph.Graph, pi *coloring.Coloring, opt Options) (Result, error) {
 	n := g.N()
+	if pi != nil && pi.N() != n {
+		return Result{}, fmt.Errorf("canon: coloring has %d vertices, graph has %d", pi.N(), n)
+	}
 	if pi == nil {
 		pi = coloring.Unit(n)
 	} else {
@@ -143,11 +152,9 @@ func CanonicalCtl(ctl *engine.Ctl, ws *engine.Workspace, g *graph.Graph, pi *col
 	s := &search{g: g, opt: opt, ctl: ctl, ws: ws, n: n, rootCells: cellSizes(pi), backjump: -1, vals: ws.Trace[:0]}
 	// The root refinement is common to every leaf, so its ordered trace
 	// is never compared and is left empty.
-	rootTrace, err := pi.RefineWS(g, nil, ws, ctl, opt.Obs)
-	if err != nil {
+	if err := pi.RefineWS(g, nil, ws, ctl, opt.Obs); err != nil {
 		s.stopErr = err
 	} else {
-		s.trace = append(s.trace, rootTrace)
 		s.ends = append(s.ends, 0)
 		s.run(pi)
 	}
@@ -192,7 +199,6 @@ type leaf struct {
 	gamma perm.Perm
 	inv   perm.Perm // γ⁻¹, set on kept leaves for automorphisms against them
 	cert  []byte
-	trace []uint64 // per-level trace hashes: a fingerprint of each level's values
 	vals  []uint64 // the ordered trace: every level's values, concatenated
 	ends  []int    // level i's values end at vals[ends[i]]
 	path  []int
@@ -213,7 +219,6 @@ func (l *leaf) keep() *leaf {
 		gamma: slices.Clone(l.gamma),
 		inv:   l.gamma.Inverse(),
 		cert:  slices.Clone(l.cert),
-		trace: slices.Clone(l.trace),
 		vals:  slices.Clone(l.vals),
 		ends:  slices.Clone(l.ends),
 		path:  slices.Clone(l.path),
@@ -250,16 +255,24 @@ type search struct {
 	// leftmost or the best leaf.
 	backjump int
 
-	// trace, vals, ends and path are the shared depth stacks of the
-	// recursion: at a node of depth d, trace holds the d+1 refinement
-	// trace hashes from the root, vals their ordered traces concatenated
-	// (level i ends at ends[i]; the buffer is the workspace's Trace) and
-	// path the d individualized vertices. run pushes before recursing and
-	// pops after, so only kept leaves copy them.
-	trace []uint64
-	vals  []uint64
-	ends  []int
-	path  []int
+	// vals, ends and path are the shared depth stacks of the recursion:
+	// at a node of depth d, vals holds the d+1 levels' ordered traces
+	// from the root, concatenated (level i ends at ends[i]; the buffer is
+	// the workspace's Trace), and path the d individualized vertices. run
+	// pushes before recursing and pops after, so only kept leaves copy
+	// them.
+	vals []uint64
+	ends []int
+	path []int
+	// onBest is how many levels of the current path's ordered trace
+	// equal the best leaf's, kept from the verdicts the search already
+	// gets: keepChild raises it for a child equal to the best leaf's
+	// level, a new first or best leaf sets it to its depth, and unwinding
+	// to a node clamps it to the node's levels. A path whose trace left
+	// the best leaf's is above it, since one below makes keepChild drop
+	// the best; and equal traces end at equal depths, since a discrete
+	// coloring's final fold is all singletons.
+	onBest int
 	// refs is the buffer childRefs fills for each child.
 	refs coloring.Refs
 	// gamma, delta, cert, key and certScratch are per-leaf scratch: the
@@ -308,8 +321,8 @@ func cellSizes(c *coloring.Coloring) []int {
 	return sizes
 }
 
-// run explores the subtree rooted at the node with coloring c; s.trace
-// and s.path hold the node's trace vector and individualization sequence
+// run explores the subtree rooted at the node with coloring c; s.vals
+// and s.path hold the node's ordered trace and individualization sequence
 // ν (Section 4) as shared stacks.
 func (s *search) run(c *coloring.Coloring) {
 	if s.halted() {
@@ -338,7 +351,7 @@ func (s *search) run(c *coloring.Coloring) {
 	// to v. The orbit partition is rebuilt lazily whenever new generators
 	// have arrived (they are discovered while exploring earlier children).
 	pruner := s.getPruner()
-	level := len(s.trace)
+	level := len(s.ends)
 	for _, v := range target {
 		if s.halted() {
 			break
@@ -351,26 +364,25 @@ func (s *search) run(c *coloring.Coloring) {
 		s.seed[0], s.seed[1] = child.Individualize(v)
 		mark := len(s.vals)
 		refs := s.childRefs(level)
-		t, verdict, err := child.RefineSearch(s.g, s.seed[:], s.ws, s.ctl, s.opt.Obs, &s.vals, refs)
+		verdict, err := child.RefineSearch(s.g, s.seed[:], s.ws, s.ctl, s.opt.Obs, &s.vals, refs)
 		if err != nil {
 			s.stopErr = err
 			s.putColoring(child)
 			break
 		}
-		if !s.keepChild(refs, verdict) {
+		if !s.keepChild(refs, verdict, level) {
 			s.vals = s.vals[:mark]
 			s.putColoring(child)
 			pruner.markExplored(v)
 			continue
 		}
-		s.trace = append(s.trace, t)
 		s.ends = append(s.ends, len(s.vals))
 		s.path = append(s.path, v)
 		s.run(child)
-		s.trace = s.trace[:len(s.trace)-1]
-		s.ends = s.ends[:len(s.ends)-1]
-		s.path = s.path[:len(s.path)-1]
+		s.ends = s.ends[:level]
+		s.path = s.path[:level-1]
 		s.vals = s.vals[:mark]
+		s.onBest = min(s.onBest, level)
 		s.putColoring(child)
 		pruner.markExplored(v)
 		if s.backjump >= 0 {
@@ -490,10 +502,10 @@ func (o *orbitPruner) markExplored(v int) {
 // compared with while it refines, or nil while there is no best leaf
 // (every child is then kept). The first leaf's trace at that level is
 // always a reference. The best leaf's is one only while the node's own
-// trace equals the best path's prefix, compared by the per-level hashes:
-// a node whose path already diverged above (kept only because it follows
-// the first path, for P_A) cannot lead to the canonical leaf, however
-// small its trace is here.
+// trace equals the best path's prefix (onBest == level): a node whose
+// path already diverged above (kept only because it follows the first
+// path, for P_A) cannot lead to the canonical leaf, however small its
+// trace is here.
 func (s *search) childRefs(level int) *coloring.Refs {
 	if s.best == nil {
 		return nil
@@ -502,7 +514,7 @@ func (s *search) childRefs(level int) *coloring.Refs {
 	if level < len(s.first.ends) {
 		s.refs.First = s.first.level(level)
 	}
-	if level < len(s.best.ends) && slices.Equal(s.trace[:level], s.best.trace[:level]) {
+	if s.onBest == level {
 		s.refs.Best = s.best.level(level)
 	}
 	return &s.refs
@@ -514,16 +526,22 @@ func (s *search) childRefs(level int) *coloring.Refs {
 // canonical leaf (trace not greater than the best path's at this level).
 // A child whose trace is *smaller* than the best path's invalidates the
 // current best candidate (the canonical form is the minimum (ordered
-// trace, cert) over all leaves). A refinement the ordered trace aborted
-// is exactly a child this rejects.
-func (s *search) keepChild(refs *coloring.Refs, v coloring.Verdict) bool {
+// trace, cert) over all leaves), also when the child follows the first
+// path. A refinement the ordered trace aborted is exactly a child this
+// rejects.
+func (s *search) keepChild(refs *coloring.Refs, v coloring.Verdict, level int) bool {
 	switch {
-	case refs == nil || v.Best == 0 || v.First:
+	case refs == nil:
 		return true
 	case v.Best < 0:
 		// Everything under this child lexicographically precedes the
 		// current best: the best is stale.
 		s.best = nil
+		return true
+	case v.Best == 0:
+		s.onBest = level + 1
+		return true
+	case v.First:
 		return true
 	}
 	s.pruneBest++
@@ -543,10 +561,11 @@ func (s *search) visitLeaf(c *coloring.Coloring) {
 	}
 	s.certScratch = slices.Grow(s.certScratch[:0], 2*s.n+1)[:2*s.n+1]
 	s.cert = appendCertificate(s.cert[:0], s.g, s.gamma, s.rootCells, s.certScratch)
-	l := &leaf{gamma: s.gamma, cert: s.cert, trace: s.trace, vals: s.vals, ends: s.ends, path: s.path}
+	l := &leaf{gamma: s.gamma, cert: s.cert, vals: s.vals, ends: s.ends, path: s.path}
 	if s.first == nil {
 		s.first = l.keep()
 		s.best = s.first
+		s.onBest = len(s.ends)
 		return
 	}
 	if bytes.Equal(l.cert, s.first.cert) && s.addAutomorphism(l.gamma, s.first) {
@@ -554,9 +573,17 @@ func (s *search) visitLeaf(c *coloring.Coloring) {
 	}
 	if s.best == nil {
 		s.best = l.keep()
+		s.onBest = len(s.ends)
 		return
 	}
-	switch order := compareLeaves(l, s.best); {
+	if s.onBest < len(s.ends) {
+		return // its trace left the best leaf's, above it
+	}
+	// Leaves order by (ordered trace, certificate), so a leaf whose every
+	// level equals the best leaf's is ordered by certificate. A change to
+	// this order, to the trace or to the certificate encoding moves
+	// certificates, and must come with a new store.CertScheme.
+	switch order := bytes.Compare(l.cert, s.best.cert); {
 	case order < 0:
 		s.best = l.keep()
 	case order == 0:
@@ -584,28 +611,6 @@ func (s *search) jumpToFork(l, ref *leaf) {
 	}
 	s.backjump = cp
 	s.backjumps++
-}
-
-// compareLeaves orders leaves by (ordered trace, certificate): level by
-// level, each level's values lexicographically with a proper prefix
-// first, then a leaf whose levels are a prefix of the other's first.
-// Levels with equal hashes are taken as equal without comparing values,
-// as the search does for the best path's prefix. A change to this order,
-// to the trace or to the certificate encoding moves certificates, and
-// must come with a new store.CertScheme.
-func compareLeaves(a, b *leaf) int {
-	for i := 0; i < len(a.ends) && i < len(b.ends); i++ {
-		if a.trace[i] == b.trace[i] {
-			continue
-		}
-		if c := slices.Compare(a.level(i), b.level(i)); c != 0 {
-			return c
-		}
-	}
-	if c := cmp.Compare(len(a.ends), len(b.ends)); c != 0 {
-		return c
-	}
-	return bytes.Compare(a.cert, b.cert)
 }
 
 // addAutomorphism records δ = γ' ∘ γ_ref⁻¹ (apply γ' first), the

@@ -6,18 +6,6 @@ import (
 	"dvicl/internal/obs"
 )
 
-// fnv1a64 constants for the refinement trace hash.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func mix(h uint64, x uint64) uint64 {
-	h ^= x
-	h *= fnvPrime
-	return h
-}
-
 // pollRounds is how many refinement rounds pass between cancellation
 // polls. A round is one splitter cell's worth of neighbor counting —
 // cheap for small cells — so the poll is rate-limited the same way the
@@ -34,42 +22,34 @@ const pollRounds = 256
 // pass nil to seed with every cell (a refinement from scratch). After an
 // Individualize, pass the returned singleton (and remainder) starts.
 //
-// Refine returns an isomorphism-invariant trace hash of the refinement:
-// two corresponding nodes of the search trees of isomorphic colored graphs
-// produce equal hashes, so the hash serves as the node invariant φ.
-//
 // The cost per splitter is proportional to the splitter's adjacency, not
 // to the sizes of the touched cells: members with zero splitter-neighbors
 // stay in place as the (implicit, minimal-count) first fragment.
 //
 // Refine draws a scratch workspace from the engine pool; hot loops that
 // refine repeatedly should hold their own workspace and call RefineWS.
-func (c *Coloring) Refine(g *graph.Graph, active []int) uint64 {
+func (c *Coloring) Refine(g *graph.Graph, active []int) {
 	w := engine.GetWorkspace(c.N())
-	t := tracer{h: fnvOffset}
-	c.refineWS(g, active, w, nil, &t)
+	c.refineWS(g, active, w, nil, nil)
 	engine.PutWorkspace(w)
-	return t.h
 }
 
 // RefineWS is the full-control refinement entry: it runs in the caller's
 // workspace (allocation-free in steady state), polls ctl between rounds,
-// and reports into rec: obs.RefineCalls (one trace hash per call),
+// and reports into rec: obs.RefineCalls (refinements run),
 // obs.RefineRounds (splitter cells processed) and obs.CellSplits (new
 // cell fragments created by splitting). Counts are accumulated in locals
 // and flushed once at the end, so the refinement loop itself carries no
 // atomic traffic. Any of w's buffers may be grown and retained in w. On
 // cancellation it returns ctl's error with the coloring in a valid
-// (merely under-refined) state and w's invariants restored; the partial
-// trace hash must not be used. ctl and rec may be nil; w must not be
-// shared with a concurrent refinement.
-func (c *Coloring) RefineWS(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, rec *obs.Recorder) (uint64, error) {
-	t := tracer{h: fnvOffset}
-	rounds, splits, err := c.refineWS(g, active, w, ctl, &t)
+// (merely under-refined) state and w's invariants restored. ctl and rec
+// may be nil; w must not be shared with a concurrent refinement.
+func (c *Coloring) RefineWS(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, rec *obs.Recorder) error {
+	rounds, splits, err := c.refineWS(g, active, w, ctl, nil)
 	rec.Inc(obs.RefineCalls)
 	rec.Add(obs.RefineRounds, rounds)
 	rec.Add(obs.CellSplits, splits)
-	return t.h, err
+	return err
 }
 
 // Refs are the references a search refinement is compared with while it
@@ -86,7 +66,8 @@ type Refs struct {
 type Verdict struct {
 	// Aborted reports that the refinement stopped at a round boundary
 	// because its trace could no longer equal Refs.First nor be at most
-	// Refs.Best. The coloring is then under-refined and the hash unusable.
+	// Refs.Best. The coloring is then under-refined and the recorded
+	// trace only a prefix.
 	Aborted bool
 	// First reports that the trace equals Refs.First.
 	First bool
@@ -96,16 +77,19 @@ type Verdict struct {
 }
 
 // RefineSearch is the backtrack search's refinement entry. It refines
-// exactly like RefineWS, returns the same trace hash and reports the same
-// counters, and also appends to *vals the node's ordered trace: every
-// value the hash mixes, in order, including the final cell fold. With
-// refs nil nothing is compared and the Verdict is meaningless. Otherwise
-// each value is compared with refs as it is produced, and at each round
-// boundary the refinement stops as soon as the trace can match neither
-// reference; such a refinement also counts in obs.RefineAborts, and the
-// values it appended are only a prefix.
-func (c *Coloring) RefineSearch(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, rec *obs.Recorder, vals *[]uint64, refs *Refs) (uint64, Verdict, error) {
-	t := tracer{h: fnvOffset, record: true, vals: *vals, base: len(*vals), refs: refs, best: 1}
+// exactly like RefineWS and reports the same counters, and also appends
+// to *vals the node's ordered trace: the splitter cells, the split
+// fragments and their counts, and the final cell fold, in the order the
+// refinement produces them. Two corresponding nodes of the search trees
+// of isomorphic colored graphs record equal traces, so the ordered trace
+// is the search's node invariant φ. With refs nil nothing is compared and
+// the Verdict is meaningless. Otherwise each value is compared with refs
+// as it is produced, and at each round boundary the refinement stops as
+// soon as the trace can match neither reference; such a refinement also
+// counts in obs.RefineAborts, and the values it appended are only a
+// prefix.
+func (c *Coloring) RefineSearch(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, rec *obs.Recorder, vals *[]uint64, refs *Refs) (Verdict, error) {
+	t := tracer{vals: *vals, base: len(*vals), refs: refs, best: 1}
 	if refs != nil {
 		t.first = refs.First != nil
 		if refs.Best != nil {
@@ -119,37 +103,31 @@ func (c *Coloring) RefineSearch(g *graph.Graph, active []int, w *engine.Workspac
 	rec.Add(obs.CellSplits, splits)
 	switch {
 	case err != nil || refs == nil:
-		return t.h, Verdict{}, err
+		return Verdict{}, err
 	case t.rejected():
 		rec.Inc(obs.RefineAborts)
-		return t.h, Verdict{Aborted: true, Best: 1}, nil
+		return Verdict{Aborted: true, Best: 1}, nil
 	}
-	return t.h, t.verdict(), nil
+	return t.verdict(), nil
 }
 
-// tracer accumulates a refinement's trace: the FNV-1a hash of the values
-// the refinement emits and, for a search refinement, the values
-// themselves, each compared with the references as it arrives.
+// tracer records a search refinement's ordered trace, comparing each
+// value with the references as it arrives. A refinement that records
+// nothing runs with a nil tracer.
 type tracer struct {
-	h      uint64
-	record bool
-	vals   []uint64
-	base   int // len(vals) when this refinement began
-	refs   *Refs
-	first  bool // the values so far are a prefix of refs.First
-	best   int  // 0 while a prefix of refs.Best; −1 or +1 once they differ
+	vals  []uint64
+	base  int // len(vals) when this refinement began
+	refs  *Refs
+	first bool // the values so far are a prefix of refs.First
+	best  int  // 0 while a prefix of refs.Best; −1 or +1 once they differ
 }
 
-// emit mixes x into the trace hash and, when recording, into the ordered
-// trace.
+// emit appends x to the ordered trace and compares it with the
+// references.
 func (t *tracer) emit(x uint64) {
-	t.h = mix(t.h, x)
-	if t.record {
-		t.append(x)
+	if t == nil {
+		return
 	}
-}
-
-func (t *tracer) append(x uint64) {
 	i := len(t.vals) - t.base
 	t.vals = append(t.vals, x)
 	if t.refs == nil {
@@ -171,7 +149,7 @@ func (t *tracer) append(x uint64) {
 // rejected reports that the trace so far can match neither reference:
 // it has left refs.First and exceeds refs.Best.
 func (t *tracer) rejected() bool {
-	return t.refs != nil && !t.first && t.best > 0
+	return t != nil && t.refs != nil && !t.first && t.best > 0
 }
 
 // verdict compares the finished trace with the references.
@@ -184,9 +162,9 @@ func (t *tracer) verdict() Verdict {
 	return v
 }
 
-// refineWS refines c and leaves the trace in t. It returns early, with
-// the coloring under-refined and w's invariants restored, on cancellation
-// and once t is rejected.
+// refineWS refines c and records its ordered trace in t, which may be
+// nil. It returns early, with the coloring under-refined and w's
+// invariants restored, on cancellation and once t is rejected.
 func (c *Coloring) refineWS(g *graph.Graph, active []int, w *engine.Workspace, ctl *engine.Ctl, t *tracer) (rounds, splits int64, err error) {
 	n := c.N()
 	if n == 0 {
@@ -283,7 +261,7 @@ func (c *Coloring) refineWS(g *graph.Graph, active []int, w *engine.Workspace, c
 	w.Queue = w.Queue[:0]
 	w.Touched = touched[:0]
 	w.Keys = keys[:0]
-	if err != nil || t.rejected() {
+	if err != nil || t == nil || t.rejected() {
 		return rounds, splits, err
 	}
 	// Fold the final cell structure into the trace.

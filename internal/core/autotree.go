@@ -15,6 +15,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"sort"
 	"unsafe"
@@ -245,9 +246,13 @@ func Build(g *graph.Graph, pi *coloring.Coloring, opt Options) *Tree {
 // a pathological graph stops within milliseconds of ctx being canceled.
 // It returns engine.ErrCanceled / engine.ErrBudgetExceeded (no partial
 // tree — obs counters retain the partial effort), or an
-// *engine.InternalError if a structural invariant breaks.
+// *engine.InternalError if a structural invariant breaks. A coloring of
+// another size than g is an error.
 func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Options) (*Tree, error) {
 	n := g.N()
+	if pi != nil && pi.N() != n {
+		return nil, fmt.Errorf("core: coloring has %d vertices, graph has %d", pi.N(), n)
+	}
 	if pi == nil {
 		pi = coloring.Unit(n)
 	} else {
@@ -272,7 +277,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 	ts := span.TraceSpan()
 	// Line 1–2 of Algorithm 1: equitable refinement, then color values.
 	refineSpan := obs.StartUnder(opt.Obs, ts, obs.PhaseRefine)
-	_, err := pi.RefineWS(g, nil, ws, ctl, opt.Obs)
+	err := pi.RefineWS(g, nil, ws, ctl, opt.Obs)
 	refineSpan.End()
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"slices"
-	"sort"
 	"time"
 
 	"dvicl/internal/canon"
@@ -376,16 +375,17 @@ func (b *builder) combineST(nd *Node, wk *worker, ts *obs.TraceSpan) {
 func nodeCertCmp(x, y *Node) int { return bytes.Compare(x.Cert, y.Cert) }
 
 // vertsByGamma returns a node's vertices ordered by their canonical label
-// within the node.
+// within the node. Labels are distinct within a node, so sorting the
+// packed keys label<<32 | index orders the indices by label.
 func vertsByGamma(nd *Node) []int {
-	idx := make([]int, len(nd.Verts))
-	for i := range idx {
-		idx[i] = i
+	keys := make([]uint64, len(nd.Verts))
+	for i, gv := range nd.gammaVal {
+		keys[i] = uint64(gv)<<32 | uint64(i)
 	}
-	sort.Slice(idx, func(a, c int) bool { return nd.gammaVal[idx[a]] < nd.gammaVal[idx[c]] })
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = nd.Verts[j]
+	slices.Sort(keys)
+	out := make([]int, len(keys))
+	for i, key := range keys {
+		out[i] = nd.Verts[key&0xffffffff]
 	}
 	return out
 }

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -24,7 +25,7 @@ type Graph struct {
 // described in Section 7 of the paper.
 type Builder struct {
 	n     int
-	edges [][2]int32
+	edges []uint64 // u<<32 | v with u < v
 }
 
 // NewBuilder returns a Builder for a graph on n vertices.
@@ -45,48 +46,36 @@ func (b *Builder) AddEdge(u, v int) {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
+	b.edges = append(b.edges, uint64(u)<<32|uint64(v))
 }
 
-// Build finalizes the builder into an immutable Graph.
+// Build finalizes the builder into an immutable Graph. One sort orders
+// the packed edges by (u, v), so row x receives all its lower neighbours
+// (edges whose first endpoint is below x) before any of its higher ones,
+// each group in ascending order: every row comes out sorted.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
-	// Deduplicate.
-	uniq := b.edges[:0]
-	for i, e := range b.edges {
-		if i == 0 || e != b.edges[i-1] {
-			uniq = append(uniq, e)
-		}
-	}
-	deg := make([]int32, b.n)
-	for _, e := range uniq {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
+	slices.Sort(b.edges)
+	b.edges = slices.Compact(b.edges)
+	// offsets[x] counts row x's entries, then, summed, marks the row's
+	// end. Filling each row from its end while walking the edges
+	// backwards leaves offsets[x] at the row's start.
 	offsets := make([]int32, b.n+1)
-	for i := 0; i < b.n; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
+	for _, e := range b.edges {
+		offsets[e>>32]++
+		offsets[e&0xffffffff]++
+	}
+	for x := 1; x <= b.n; x++ {
+		offsets[x] += offsets[x-1]
 	}
 	adj := make([]int32, offsets[b.n])
-	cursor := make([]int32, b.n)
-	copy(cursor, offsets[:b.n])
-	for _, e := range uniq {
-		adj[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
-		adj[cursor[e[1]]] = e[0]
-		cursor[e[1]]++
+	for i := len(b.edges) - 1; i >= 0; i-- {
+		u, v := int32(b.edges[i]>>32), int32(b.edges[i])
+		offsets[u]--
+		adj[offsets[u]] = v
+		offsets[v]--
+		adj[offsets[v]] = u
 	}
-	g := &Graph{offsets: offsets, adj: adj}
-	for v := 0; v < b.n; v++ {
-		nb := g.neighbors32(v)
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-	}
-	return g
+	return &Graph{offsets: offsets, adj: adj}
 }
 
 // FromCSR wraps prebuilt CSR arrays as a Graph value without copying or

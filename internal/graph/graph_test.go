@@ -36,6 +36,68 @@ func TestBuilderDedup(t *testing.T) {
 	}
 }
 
+// referenceGraph builds the CSR of a simple graph the long way: a set of
+// undirected edges, then each row collected and sorted on its own.
+func referenceGraph(n int, edges [][2]int) *Graph {
+	rows := make([][]int32, n)
+	seen := make(map[[2]int]bool)
+	for _, e := range edges {
+		u, v := min(e[0], e[1]), max(e[0], e[1])
+		if u == v || seen[[2]int{u, v}] {
+			continue
+		}
+		seen[[2]int{u, v}] = true
+		rows[u] = append(rows[u], int32(v))
+		rows[v] = append(rows[v], int32(u))
+	}
+	offsets := make([]int32, n+1)
+	var adj []int32
+	for x, row := range rows {
+		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		adj = append(adj, row...)
+		offsets[x+1] = int32(len(adj))
+	}
+	return &Graph{offsets: offsets, adj: adj}
+}
+
+// TestBuilderMatchesReference: Build's single sort of packed edges must
+// give every row strictly ascending and the same labeled graph as the
+// reference builder, whatever duplicates, self-loops and orientations the
+// edge list holds, for empty, one-vertex and isolated-vertex graphs too.
+func TestBuilderMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := trial % 3 // n = 0, 1 and 2 come first
+		if trial >= 3 {
+			n = 1 + r.Intn(40)
+		}
+		var edges [][2]int
+		for k := r.Intn(3*n*n/2 + 1); k > 0; k-- {
+			u, v := r.Intn(n), r.Intn(n)
+			edges = append(edges, [2]int{u, v})
+			if r.Intn(4) == 0 {
+				edges = append(edges, [2]int{v, u})
+			}
+		}
+		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		g := FromEdges(n, edges)
+		if g.N() != n {
+			t.Fatalf("trial %d: N = %d, want %d", trial, g.N(), n)
+		}
+		for x := 0; x < n; x++ {
+			row := g.Neighbors32(x)
+			for i := 1; i < len(row); i++ {
+				if row[i-1] >= row[i] {
+					t.Fatalf("trial %d: row %d not strictly ascending: %v", trial, x, row)
+				}
+			}
+		}
+		if want := referenceGraph(n, edges); g.Hash() != want.Hash() {
+			t.Fatalf("trial %d: Build differs from the reference on n = %d, %d edges", trial, n, len(edges))
+		}
+	}
+}
+
 func TestDegreesAndStats(t *testing.T) {
 	g := paperGraph()
 	if g.N() != 8 {

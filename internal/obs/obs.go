@@ -25,7 +25,7 @@ type Counter int
 // The counter set, grouped by the pipeline layer that reports it.
 const (
 	// internal/coloring — equitable refinement (1-WL).
-	RefineCalls  Counter = iota // trace hashes computed (one per Refine)
+	RefineCalls  Counter = iota // equitable refinements run
 	RefineRounds                // splitter cells processed off the worklist
 	CellSplits                  // new cell fragments created by splitting
 	RefineAborts                // search refinements stopped early by the ordered trace
@@ -98,7 +98,7 @@ const (
 // counterInfo is the one table of per-counter metadata: the metric
 // name and the HELP line of its Prometheus family.
 var counterInfo = [numCounters]struct{ name, help string }{
-	RefineCalls:        {"refine_calls", "Equitable-refinement trace hashes computed (one per Refine)."},
+	RefineCalls:        {"refine_calls", "Equitable refinements run."},
 	RefineRounds:       {"refine_rounds", "Splitter cells processed off the refinement worklist."},
 	CellSplits:         {"cell_splits", "New cell fragments created by refinement splitting."},
 	RefineAborts:       {"refine_aborts", "Search refinements stopped early because their ordered trace could match neither reference leaf."},
