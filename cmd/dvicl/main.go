@@ -78,8 +78,7 @@ func main() {
 			s := tree.Stats()
 			fmt.Printf("autotree: nodes=%d singleton=%d non-singleton=%d avg-leaf=%.2f depth=%d\n",
 				s.Nodes, s.SingletonLeaves, s.NonSingletonLeaves, s.AvgLeafSize, s.Depth)
-			fmt.Printf("leaf effort: search-nodes=%d leaves=%d truncated=%d\n",
-				s.LeafSearchNodes, s.LeafSearchLeaves, s.TruncatedLeaves)
+			fmt.Printf("leaf effort: search-nodes=%d leaves=%d\n", s.LeafSearchNodes, s.LeafSearchLeaves)
 			cells, singles := tree.OrbitStats()
 			fmt.Printf("orbit coloring: cells=%d singleton=%d\n", cells, singles)
 		}

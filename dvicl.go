@@ -80,9 +80,10 @@ type Options = core.Options
 // paying the pool round-trip per worker instead of per build.
 type Workspace = engine.Workspace
 
-// Budget bounds a build end to end: a whole-build deadline and node cap
-// (hard — the Ctx entry points return ErrBudgetExceeded) composed with
-// per-leaf bounds (soft — Tree.Truncated). Set it in Options.Budget.
+// Budget bounds a build end to end: past its whole-build deadline or
+// search-node cap, the Ctx entry points return ErrBudgetExceeded and no
+// labeling, so every certificate returned is exact. Set it in
+// Options.Budget.
 type Budget = engine.Budget
 
 // InternalError reports a broken internal invariant as a value instead

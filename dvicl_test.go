@@ -56,9 +56,6 @@ func TestFacadeSSM(t *testing.T) {
 func TestFacadeBaseline(t *testing.T) {
 	c5 := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
 	res := Baseline(c5, nil, BaselineOptions{Policy: PolicyNauty})
-	if res.Truncated {
-		t.Fatal("truncated")
-	}
 	if NewPermGroup(5, res.Generators).Order().Cmp(big.NewInt(10)) != 0 {
 		t.Fatal("baseline group order wrong")
 	}
@@ -238,9 +235,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	g := d.Build(100)
 	tree := BuildAutoTree(g, nil, Options{})
-	if tree.Truncated {
-		t.Fatal("truncated on a social stand-in")
-	}
 	if err := tree.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -121,27 +121,19 @@ func ExampleTrace() {
 	// certificate unchanged: true
 }
 
-// ExampleBudget shows the two tiers of resource bounds and their
-// different failure semantics on a Miyazaki-like graph (a family built
-// to force backtracking search). Whole-build bounds are hard: the build
-// stops and returns ErrBudgetExceeded. Per-leaf bounds are soft: each
-// leaf search is truncated best-effort and the build succeeds, with
-// Tree.Truncated warning that the certificate is not exact.
+// ExampleBudget bounds a build on a Miyazaki-like graph (a family built
+// to force backtracking search). The budget covers the whole build, and
+// a build that exceeds it returns ErrBudgetExceeded and no tree: every
+// tree a build returns carries an exact certificate.
 func ExampleBudget() {
 	g := gen.MzAug(12)
 
-	// Hard: the whole build may visit at most 5 search nodes.
-	_, err := dvicl.BuildAutoTreeCtx(context.Background(), g, nil,
-		dvicl.Options{Budget: dvicl.Budget{MaxNodes: 5}})
-	fmt.Println(errors.Is(err, dvicl.ErrBudgetExceeded))
-
-	// Soft: each individual leaf search is capped at 5 nodes.
+	// The whole build may visit at most 5 search nodes.
 	tree, err := dvicl.BuildAutoTreeCtx(context.Background(), g, nil,
-		dvicl.Options{Budget: dvicl.Budget{LeafMaxNodes: 5}})
-	fmt.Println(err, tree.Truncated)
+		dvicl.Options{Budget: dvicl.Budget{MaxNodes: 5}})
+	fmt.Println(tree == nil, errors.Is(err, dvicl.ErrBudgetExceeded))
 	// Output:
-	// true
-	// <nil> true
+	// true true
 }
 
 // ExampleOpenGraphIndex_sharded partitions an in-memory index (empty

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +117,46 @@ func TestTableSnapshotsInJSON(t *testing.T) {
 	for _, want := range []string{`"cells"`, `"counters"`, `"dvicl"`, `"refine_calls"`, `"phases"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("BENCH json missing %s:\n%.400s", want, out)
+		}
+	}
+}
+
+// TestTables2And4Exact: every benchmark-family build finishes or prints
+// "-", so the rows it prints are exact. grid-w-3-20 and had-256 are
+// vertex-transitive and refine to one cell: one orbit, no singleton, and
+// a root-only AutoTree.
+func TestTables2And4Exact(t *testing.T) {
+	cfg := Config{Timeout: time.Minute, Datasets: []string{"grid-w-3-20", "had-256"}}
+	t2 := Table2(cfg)
+	if len(t2.Rows) != 2 {
+		t.Fatalf("table 2 rows = %v", t2.Rows)
+	}
+	for _, row := range t2.Rows {
+		if cells, singles := row[5], row[6]; cells != "1" || singles != "0" {
+			t.Errorf("table 2 %s: cells %s, singleton %s; want 1, 0", row[0], cells, singles)
+		}
+	}
+	t4 := Table4(cfg)
+	if len(t4.Rows) != 2 {
+		t.Fatalf("table 4 rows = %v", t4.Rows)
+	}
+	for _, row := range t4.Rows {
+		if want := []string{row[0], "1", "0", "1"}; !slices.Equal(row[:4], want) || row[5] != "0" {
+			t.Errorf("table 4 %s: %v, want a root-only tree", row[0], row)
+		}
+	}
+}
+
+// TestTable8TimeoutPrintsDash: a run that exceeds the timeout prints "-"
+// for its time and memory, for X alone and for DviCL+X alike.
+func TestTable8TimeoutPrintsDash(t *testing.T) {
+	tb := Table8(Config{Timeout: time.Millisecond, Datasets: []string{"had-256"}})
+	if len(tb.Rows) != 1 || len(tb.Rows[0]) != 13 {
+		t.Fatalf("rows = %v", tb.Rows)
+	}
+	for i, cell := range tb.Rows[0][1:] {
+		if cell != "-" {
+			t.Errorf("%s = %q, want -", tb.Header[i+1], cell)
 		}
 	}
 }

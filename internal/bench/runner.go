@@ -33,13 +33,13 @@ type Measurement struct {
 	// relative tolerance, never exactly.
 	Allocs int64
 	Bytes  int64
-	// TimedOut marks a truncated run (printed as "-", like the paper's
-	// two-hour timeouts).
+	// TimedOut marks a run that exceeded its whole-run timeout (printed
+	// as "-", like the paper's two-hour timeouts).
 	TimedOut bool
 }
 
 // Measure runs fn while sampling heap usage. fn reports whether it
-// completed (false = truncated/timeout).
+// completed (false = it exceeded its timeout).
 func Measure(fn func() bool) Measurement {
 	runtime.GC()
 	var base runtime.MemStats

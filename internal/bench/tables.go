@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -44,7 +46,34 @@ func Table1(cfg Config) Table {
 	return t
 }
 
-// Table2 regenerates the benchmark-graph summary (paper Table 2).
+// buildWithin runs DviCL+pol on g under a whole-run timeout, the stand-in
+// for the paper's two-hour limit. It returns nil when the build runs out
+// of time.
+func buildWithin(g *graph.Graph, pol canon.Policy, timeout time.Duration, rec *obs.Recorder) *core.Tree {
+	tree, err := core.BuildCtx(context.Background(), g, nil, core.Options{
+		LeafPolicy: pol, Budget: engine.Budget{BuildTimeout: timeout}, Obs: rec})
+	if !finished(err) {
+		return nil
+	}
+	return tree
+}
+
+// finished reports whether a run under a timeout completed: false when
+// it ran out of time. Any other error is a bug, as in core.Build.
+func finished(err error) bool {
+	if errors.Is(err, engine.ErrBudgetExceeded) {
+		return false
+	}
+	if err != nil {
+		panic(err)
+	}
+	return true
+}
+
+// Table2 regenerates the benchmark-graph summary (paper Table 2). Its
+// builds use traces-policy leaves, the one policy that finishes every
+// benchmark family (Table 8); a build that runs out of time prints "-"
+// for the orbit columns.
 func Table2(cfg Config) Table {
 	t := Table{
 		Title:  "Table 2: benchmark graphs (paper values in the trailing columns)",
@@ -55,13 +84,16 @@ func Table2(cfg Config) Table {
 			continue
 		}
 		g := d.Build(1)
-		tree := core.Build(g, nil, core.Options{Budget: engine.Budget{LeafTimeout: cfg.Timeout}})
-		cells, singles := tree.OrbitStats()
+		cells, singles := "-", "-"
+		if tree := buildWithin(g, canon.PolicyTraces, cfg.Timeout, nil); tree != nil {
+			c, s := tree.OrbitStats()
+			cells, singles = fmt.Sprint(c), fmt.Sprint(s)
+		}
 		t.Rows = append(t.Rows, []string{
 			d.Name,
 			fmt.Sprint(g.N()), fmt.Sprint(g.M()),
 			fmt.Sprint(g.MaxDegree()), fmt.Sprintf("%.2f", g.AvgDegree()),
-			fmt.Sprint(cells), fmt.Sprint(singles),
+			cells, singles,
 			fmt.Sprint(d.Paper.N), fmt.Sprint(d.Paper.M), fmt.Sprint(d.Paper.Cells),
 		})
 	}
@@ -101,7 +133,8 @@ func Table3(cfg Config) Table {
 }
 
 // Table4 regenerates the AutoTree structure of the benchmark graphs
-// (paper Table 4).
+// (paper Table 4), built as in Table2; a build that runs out of time
+// prints "-" for every column.
 func Table4(cfg Config) Table {
 	t := Table{
 		Title:  "Table 4: AutoTree structure, benchmark graphs",
@@ -113,8 +146,11 @@ func Table4(cfg Config) Table {
 		}
 		g := d.Build(1)
 		rec := obs.New()
-		tree := core.Build(g, nil, core.Options{Budget: engine.Budget{LeafTimeout: cfg.Timeout}, Obs: rec})
-		t.Rows = append(t.Rows, autotreeRow(d.Name, tree))
+		row := []string{d.Name, "-", "-", "-", "-", "-"}
+		if tree := buildWithin(g, canon.PolicyTraces, cfg.Timeout, rec); tree != nil {
+			row = autotreeRow(d.Name, tree)
+		}
+		t.Rows = append(t.Rows, row)
 		t.Snapshots = append(t.Snapshots, map[string]obs.Snapshot{"dvicl": rec.Snapshot()})
 	}
 	return t
@@ -123,40 +159,33 @@ func Table4(cfg Config) Table {
 // policies is the X lineup of Tables 5 and 8.
 var policies = []canon.Policy{canon.PolicyNauty, canon.PolicyTraces, canon.PolicyBliss}
 
-// runComparison measures X and DviCL+X for every policy on one graph.
+// runComparison measures X and DviCL+X for every policy on one graph,
+// each run under a whole-run timeout: a run that exceeds it prints "-".
 // Each run records into a fresh obs recorder; the snapshots are returned
 // keyed by run label so comparison tables carry search-effort counters
 // next to wall times.
 func runComparison(g *graph.Graph, timeout time.Duration) ([]string, map[string]obs.Snapshot) {
 	var cells []string
 	snaps := make(map[string]obs.Snapshot, 2*len(policies))
-	for _, pol := range policies {
-		// X alone.
+	timed := func(label string, run func(rec *obs.Recorder) bool) {
 		rec := obs.New()
-		var res canon.Result
-		m := Measure(func() bool {
-			res = canon.Canonical(g, nil, canon.Options{Policy: pol, Deadline: time.Now().Add(timeout), Obs: rec})
-			return !res.Truncated
-		})
-		snaps[pol.String()] = rec.Snapshot()
+		m := Measure(func() bool { return run(rec) })
+		snaps[label] = rec.Snapshot()
 		if m.TimedOut {
 			cells = append(cells, "-", "-")
 		} else {
 			cells = append(cells, fmtDur(m.Time), fmtMB(m.PeakMB))
 		}
-		// DviCL+X.
-		rec = obs.New()
-		var tree *core.Tree
-		m = Measure(func() bool {
-			tree = core.Build(g, nil, core.Options{LeafPolicy: pol, Budget: engine.Budget{LeafTimeout: timeout}, Obs: rec})
-			return !tree.Truncated
+	}
+	for _, pol := range policies {
+		timed(pol.String(), func(rec *obs.Recorder) bool {
+			ctl := engine.NewCtl(context.Background(), engine.Budget{BuildTimeout: timeout})
+			_, err := canon.CanonicalCtl(ctl, nil, g, nil, canon.Options{Policy: pol, Obs: rec})
+			return finished(err)
 		})
-		snaps["dvicl+"+pol.String()] = rec.Snapshot()
-		if m.TimedOut || m.Time > timeout {
-			cells = append(cells, "-", "-")
-		} else {
-			cells = append(cells, fmtDur(m.Time), fmtMB(m.PeakMB))
-		}
+		timed("dvicl+"+pol.String(), func(rec *obs.Recorder) bool {
+			return buildWithin(g, pol, timeout, rec) != nil
+		})
 	}
 	return cells, snaps
 }

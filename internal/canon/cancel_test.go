@@ -6,32 +6,43 @@ import (
 	"testing"
 
 	"dvicl/internal/engine"
+	"dvicl/internal/obs"
 )
 
 // TestCanonicalCtlCanceled: a canceled controller stops the backtrack
 // search at a checkpoint and CanonicalCtl returns ErrCanceled with no
-// canonical result.
+// canonical result. A cancellation is not a truncation.
 func TestCanonicalCtlCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctl := engine.NewCtl(ctx, engine.Budget{})
-	res, err := CanonicalCtl(ctl, nil, cycle(12), nil, Options{})
+	rec := obs.New()
+	res, err := CanonicalCtl(ctl, nil, cycle(12), nil, Options{Obs: rec})
 	if !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if res.Canon != nil || res.Cert != nil {
 		t.Fatal("canceled search returned a canonical form")
 	}
+	if got := rec.Counter(obs.Truncations); got != 0 {
+		t.Fatalf("truncations = %d, want 0", got)
+	}
 }
 
 // TestCanonicalCtlBudgetExceeded: the whole-build node cap surfaces as
-// a hard typed error, unlike the per-search Options.MaxNodes soft
-// truncation.
+// a typed error with no canonical result, and counts one truncation.
 func TestCanonicalCtlBudgetExceeded(t *testing.T) {
 	ctl := engine.NewCtl(context.Background(), engine.Budget{MaxNodes: 2})
-	_, err := CanonicalCtl(ctl, nil, cycle(32), nil, Options{})
+	rec := obs.New()
+	res, err := CanonicalCtl(ctl, nil, cycle(32), nil, Options{Obs: rec})
 	if !errors.Is(err, engine.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if res.Canon != nil || res.Cert != nil {
+		t.Fatal("stopped search returned a canonical form")
+	}
+	if got := rec.Counter(obs.Truncations); got != 1 {
+		t.Fatalf("truncations = %d, want 1", got)
 	}
 }
 

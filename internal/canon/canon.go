@@ -24,9 +24,9 @@ package canon
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"dvicl/internal/coloring"
 	"dvicl/internal/engine"
@@ -67,14 +67,6 @@ func (p Policy) String() string {
 // Options configures the search.
 type Options struct {
 	Policy Policy
-	// MaxNodes bounds the number of search-tree nodes visited; 0 means
-	// unlimited. When exceeded, Result.Truncated is set and the labeling
-	// must not be used as a canonical form (a deterministic analogue of
-	// the paper's two-hour timeout).
-	MaxNodes int64
-	// Deadline, when non-zero, aborts the search at the given wall-clock
-	// time — the benchmark harness's equivalent of the paper's timeout.
-	Deadline time.Time
 	// Obs, when non-nil, receives the search-effort counters (nodes,
 	// leaves, prunings, automorphisms, backjumps, truncations) and the
 	// refinement counters of every Refine the search performs. Search
@@ -82,7 +74,7 @@ type Options struct {
 	Obs *obs.Recorder
 	// Span, when non-nil, receives the search-effort summary as trace
 	// attributes (nodes, leaves, automorphisms, truncated) when the search
-	// finishes. The caller owns the span's lifetime. Nil-safe.
+	// ends. The caller owns the span's lifetime. Nil-safe.
 	Span *obs.TraceSpan
 }
 
@@ -111,9 +103,6 @@ type Result struct {
 	// new generator against the leftmost or the best leaf, the search
 	// returns to the two leaves' deepest common ancestor.
 	Backjumps int64
-	// Truncated reports that MaxNodes was hit; Canon/Cert are then
-	// best-effort only.
-	Truncated bool
 }
 
 // Canonical computes the canonical labeling of the colored graph (g, pi).
@@ -132,9 +121,10 @@ func Canonical(g *graph.Graph, pi *coloring.Coloring, opt Options) Result {
 // every search-tree node (whole-build node budget, cancellation), and
 // the search refines in ws rather than allocating. On ErrCanceled /
 // ErrBudgetExceeded the Result carries the partial effort statistics but
-// no usable labeling. A coloring of another size than g is an error.
-// ctl and ws may be nil (ws is then drawn from the engine pool); ws must
-// not be shared with a concurrent search.
+// no labeling, and a search the budget stopped counts one truncation. A
+// coloring of another size than g is an error. ctl and ws may be nil (ws
+// is then drawn from the engine pool); ws must not be shared with a
+// concurrent search.
 func CanonicalCtl(ctl *engine.Ctl, ws *engine.Workspace, g *graph.Graph, pi *coloring.Coloring, opt Options) (Result, error) {
 	n := g.N()
 	if pi != nil && pi.N() != n {
@@ -166,12 +156,12 @@ func CanonicalCtl(ctl *engine.Ctl, ws *engine.Workspace, g *graph.Graph, pi *col
 		PruneBestPath: s.pruneBest,
 		PruneOrbit:    s.pruneOrbit,
 		Backjumps:     s.backjumps,
-		Truncated:     s.truncated,
 	}
-	if s.best != nil && s.stopErr == nil {
+	if s.stopErr == nil {
 		res.Canon = s.best.gamma
 		res.Cert = s.best.cert
 	}
+	truncated := errors.Is(s.stopErr, engine.ErrBudgetExceeded)
 	if rec := opt.Obs; rec != nil {
 		rec.Add(obs.SearchNodes, res.Nodes)
 		rec.Add(obs.SearchLeaves, res.Leaves)
@@ -179,14 +169,14 @@ func CanonicalCtl(ctl *engine.Ctl, ws *engine.Workspace, g *graph.Graph, pi *col
 		rec.Add(obs.PruneOrbit, res.PruneOrbit)
 		rec.Add(obs.Automorphisms, int64(len(res.Generators)))
 		rec.Add(obs.Backjumps, res.Backjumps)
-		if res.Truncated {
+		if truncated {
 			rec.Inc(obs.Truncations)
 		}
 	}
 	opt.Span.SetAttr("nodes", res.Nodes)
 	opt.Span.SetAttr("leaves", res.Leaves)
 	opt.Span.SetAttr("automorphisms", int64(len(res.Generators)))
-	if res.Truncated {
+	if truncated {
 		opt.Span.SetAttr("truncated", 1)
 	}
 	return res, s.stopErr
@@ -246,7 +236,6 @@ type search struct {
 	pruneBest  int64
 	pruneOrbit int64
 	backjumps  int64
-	truncated  bool
 	// stopErr latches the controller's ErrCanceled/ErrBudgetExceeded; the
 	// recursion unwinds without visiting further nodes once it is set.
 	stopErr error
@@ -307,12 +296,6 @@ func (s *search) putColoring(c *coloring.Coloring) {
 	s.free = append(s.free, c)
 }
 
-// halted reports whether the search must stop visiting nodes: a
-// truncated per-leaf bound (soft) or a latched controller error (hard).
-func (s *search) halted() bool {
-	return s.truncated || s.stopErr != nil
-}
-
 func cellSizes(c *coloring.Coloring) []int {
 	sizes := make([]int, 0, c.NumCells())
 	for st := 0; st < c.N(); st = c.CellEnd(st) {
@@ -325,20 +308,12 @@ func cellSizes(c *coloring.Coloring) []int {
 // and s.path hold the node's ordered trace and individualization sequence
 // ν (Section 4) as shared stacks.
 func (s *search) run(c *coloring.Coloring) {
-	if s.halted() {
+	if s.stopErr != nil {
 		return
 	}
 	s.nodes++
 	if err := s.ctl.Tick(1); err != nil {
 		s.stopErr = err
-		return
-	}
-	if s.opt.MaxNodes > 0 && s.nodes > s.opt.MaxNodes {
-		s.truncated = true
-		return
-	}
-	if !s.opt.Deadline.IsZero() && s.nodes%256 == 0 && time.Now().After(s.opt.Deadline) {
-		s.truncated = true
 		return
 	}
 	if c.IsDiscrete() {
@@ -353,7 +328,7 @@ func (s *search) run(c *coloring.Coloring) {
 	pruner := s.getPruner()
 	level := len(s.ends)
 	for _, v := range target {
-		if s.halted() {
+		if s.stopErr != nil {
 			break
 		}
 		if pruner.pruned(s.gens, s.moved, v) {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
+	"sync"
 	"unsafe"
 
 	"dvicl/internal/canon"
@@ -33,9 +34,8 @@ type Options struct {
 	// LeafPolicy selects the individualization–refinement engine used for
 	// non-singleton leaves — the "X" in the paper's DviCL+X.
 	LeafPolicy canon.Policy
-	// Budget bounds the build: whole-build deadline and node cap (hard,
-	// BuildCtx returns ErrBudgetExceeded) composed with per-leaf bounds
-	// (soft, Tree.Truncated).
+	// Budget bounds the whole build: past its deadline or node cap,
+	// BuildCtx returns ErrBudgetExceeded and no tree.
 	Budget engine.Budget
 	// DisableTwinSimplification turns off the structural-equivalence
 	// preprocessing of Section 6.1. On by default because real graphs are
@@ -142,8 +142,6 @@ type Node struct {
 	// gammaVal[i] is Verts[i]ᵞᵍ, the canonical label of Verts[i] within
 	// this node: π(v) plus the rank among same-colored vertices of g.
 	gammaVal []int
-	// autOrder is |Aut(g, πg)| (nil until computed).
-	autOrder *big.Int
 	// desc is the removal descriptor of the division that produced the
 	// children (see combine.go). Only CombineST reads it, during the
 	// build, so records do not store it.
@@ -153,13 +151,12 @@ type Node struct {
 	localGens []perm.Perm
 	// localGraph is the reduced local graph of a non-singleton leaf.
 	localGraph *graph.Graph
-	// leafNodes/leafLeaves/leafTruncated record the leaf engine's search
-	// effort for a non-singleton leaf (canon.Result.Nodes/Leaves/
-	// Truncated). They feed Stats and are not serialized: a loaded tree
-	// reports zero effort, since no search ran to produce it.
-	leafNodes     int64
-	leafLeaves    int64
-	leafTruncated bool
+	// leafNodes/leafLeaves record the leaf engine's search effort for a
+	// non-singleton leaf (canon.Result.Nodes/Leaves). They feed Stats and
+	// are not serialized: a loaded tree reports zero effort, since no
+	// search ran to produce it.
+	leafNodes  int64
+	leafLeaves int64
 }
 
 // Size returns the number of vertices of the node's subgraph.
@@ -194,14 +191,15 @@ type Tree struct {
 	// Gamma is the canonical labeling γ* of G: relabeling G by Gamma
 	// yields the canonical form.
 	Gamma perm.Perm
-	// Truncated reports that some leaf search hit its node budget; the
-	// labeling is then best-effort (the paper's timeout case).
-	Truncated bool
 
 	sparseGens []perm.Sparse
 
 	g      *graph.Graph
 	colors []int // global equitable colors π(v)
+
+	// autOrder is |Aut(G, π)|, computed once by AutOrder.
+	autOrderOnce sync.Once
+	autOrder     *big.Int
 }
 
 // Graph returns the graph the tree was built for.
@@ -228,10 +226,9 @@ func (t *Tree) Colors() []int { return t.colors }
 // Build runs DviCL (Algorithm 1) on the colored graph (g, pi) and returns
 // its AutoTree. pi may be nil for the unit coloring; it is not modified.
 //
-// Build cannot report errors, so it must not be used with a whole-build
-// Budget (use BuildCtx); it panics if the budget is exceeded or an
-// internal invariant breaks, preserving the pre-engine behavior for
-// legacy callers whose builds are only leaf-bounded (soft truncation).
+// Build cannot report errors, so it must not be used with a Budget (use
+// BuildCtx); it panics if the budget is exceeded or an internal
+// invariant breaks.
 func Build(g *graph.Graph, pi *coloring.Coloring, opt Options) *Tree {
 	t, err := BuildCtx(context.Background(), g, pi, opt)
 	if err != nil {
@@ -304,24 +301,9 @@ func BuildCtx(ctx context.Context, g *graph.Graph, pi *coloring.Coloring, opt Op
 	// workspace's fully-released invariant) before ws goes back to the
 	// pool.
 	wk := &worker{ws: ws}
-	var root *Node
-	if !opt.DisableTwinSimplification {
-		root, err = b.buildSimplified(wk, ts)
-	} else {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		mark := ws.Arena.Mark()
-		root, err = b.cl(b.subgraphOf(all, wk), wk, ts)
-		ws.Arena.Release(mark)
-	}
-	if err != nil {
+	if t.Root, err = b.buildSimplified(pi, wk, ts); err != nil {
 		return nil, err
 	}
-	t.Root = root
-
-	t.Truncated = b.wasTruncated()
 	if err := t.derive(); err != nil {
 		return nil, err
 	}
@@ -356,10 +338,6 @@ type Stats struct {
 	// LeafSearchLeaves is the total number of discrete colorings the leaf
 	// engine reached across all non-singleton leaves.
 	LeafSearchLeaves int64
-	// TruncatedLeaves counts non-singleton leaves whose search hit
-	// Budget.LeafMaxNodes or Budget.LeafTimeout (labeling is then
-	// best-effort).
-	TruncatedLeaves int
 }
 
 // Stats computes the Table 3/4 columns for the tree.
@@ -380,9 +358,6 @@ func (t *Tree) Stats() Stats {
 				sizeSum += nd.Size()
 				s.LeafSearchNodes += nd.leafNodes
 				s.LeafSearchLeaves += nd.leafLeaves
-				if nd.leafTruncated {
-					s.TruncatedLeaves++
-				}
 			}
 			return
 		}
@@ -400,10 +375,9 @@ func (t *Tree) Stats() Stats {
 }
 
 // HeapBytes estimates the heap the tree holds: its nodes with their
-// vertex, label, child and certificate slices, division descriptors and
-// memoized group orders, the leaves' generators and local graphs, and
-// the tree's colors, Gamma and generators. The tree store charges its
-// memory budget with it.
+// vertex, label, child and certificate slices and division descriptors,
+// the leaves' generators and local graphs, and the tree's colors, Gamma
+// and generators. The tree store charges its memory budget with it.
 func (t *Tree) HeapBytes() int64 {
 	const word = 8
 	size := word * int64(len(t.colors)+len(t.Gamma))
@@ -414,9 +388,6 @@ func (t *Tree) HeapBytes() int64 {
 	walk = func(nd *Node) {
 		size += int64(unsafe.Sizeof(*nd)) + int64(len(nd.Cert)+len(nd.desc)) +
 			word*int64(len(nd.Verts)+len(nd.gammaVal)+len(nd.Children))
-		if nd.autOrder != nil {
-			size += int64(unsafe.Sizeof(*nd.autOrder)) + word*int64(len(nd.autOrder.Bits()))
-		}
 		for _, lg := range nd.localGens {
 			size += int64(unsafe.Sizeof(lg)) + word*int64(len(lg))
 		}
@@ -447,19 +418,18 @@ func (t *Tree) CanonicalCert() []byte {
 	return canon.EncodeCertificate(t.g, t.Gamma, cellSizes)
 }
 
+// sizesFromColors returns the cell sizes in color order. Colors are cell
+// start offsets below n, so one counting pass finds them.
 func sizesFromColors(colors []int) []int {
-	counts := map[int]int{}
+	counts := make([]int, len(colors))
 	for _, c := range colors {
 		counts[c]++
 	}
-	var keys []int
-	for c := range counts {
-		keys = append(keys, c)
-	}
-	sort.Ints(keys)
-	sizes := make([]int, 0, len(keys))
-	for _, c := range keys {
-		sizes = append(sizes, counts[c])
+	sizes := counts[:0]
+	for _, k := range counts {
+		if k > 0 {
+			sizes = append(sizes, k)
+		}
 	}
 	return sizes
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"slices"
-	"time"
 
 	"dvicl/internal/canon"
 	"dvicl/internal/coloring"
@@ -221,32 +220,13 @@ func (b *builder) combineCL(nd *Node, sg *subgraph, wk *worker, ts *obs.TraceSpa
 	if err != nil {
 		return engine.Internalf("core.combineCL", "projected cells are not a partition: %v", err)
 	}
-	copt := canon.Options{
-		Policy:   b.opt.LeafPolicy,
-		MaxNodes: b.opt.Budget.LeafMaxNodes,
-		Obs:      b.opt.Obs,
-		Span:     span.TraceSpan(),
-	}
-	if b.opt.Budget.LeafTimeout > 0 {
-		copt.Deadline = time.Now().Add(b.opt.Budget.LeafTimeout)
-	}
+	copt := canon.Options{Policy: b.opt.LeafPolicy, Obs: b.opt.Obs, Span: span.TraceSpan()}
 	res, err := canon.CanonicalCtl(b.ctl, ws, sg.local, pi, copt)
 	if err != nil {
 		return err
 	}
 	nd.leafNodes = res.Nodes
 	nd.leafLeaves = res.Leaves
-	nd.leafTruncated = res.Truncated
-	if res.Truncated {
-		b.markTruncated()
-	}
-	order := res.Canon
-	if order == nil { // truncated before any leaf: fall back to input order
-		order = make([]int, len(sg.verts))
-		for i := range order {
-			order[i] = i
-		}
-	}
 	nd.localGens = res.Generators
 	// sg.local is an arena-backed view owned by an enclosing frame that is
 	// released once the tree is built; the leaf keeps its local graph for
@@ -260,7 +240,7 @@ func (b *builder) combineCL(nd *Node, sg *subgraph, wk *worker, ts *obs.TraceSpa
 	for _, cell := range cells {
 		keys = keys[:0]
 		for _, l := range cell {
-			keys = append(keys, uint64(order[l])<<32|uint64(l))
+			keys = append(keys, uint64(res.Canon[l])<<32|uint64(l))
 		}
 		slices.Sort(keys)
 		color := b.colorOf(sg, cell[0])

@@ -253,9 +253,6 @@ func TestTreeStructureFig1(t *testing.T) {
 	// splits off the C4 and the triangle; both are further divided by
 	// DivideS (they are color-complete structures) or left as leaves.
 	tree := Build(fig1(), nil, Options{})
-	if tree.Truncated {
-		t.Fatal("truncated")
-	}
 	s := tree.Stats()
 	if s.Depth < 1 {
 		t.Fatalf("depth = %d, want >= 1", s.Depth)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"dvicl/internal/engine"
 	"dvicl/internal/graph"
@@ -32,22 +31,6 @@ type builder struct {
 	// sched is the build's work-stealing worker pool (nil when
 	// sequential); see sched.go.
 	sched *sched
-
-	mu        sync.Mutex
-	truncated bool
-}
-
-// markTruncated records that some leaf search hit its budget.
-func (b *builder) markTruncated() {
-	b.mu.Lock()
-	b.truncated = true
-	b.mu.Unlock()
-}
-
-func (b *builder) wasTruncated() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.truncated
 }
 
 // subgraphOf induces the subgraph of the original graph on verts, with

@@ -92,48 +92,40 @@ func swapGen(n int, a, b *Node) perm.Sparse {
 // because equal-certificate siblings are independent components of the
 // reduced graph, so the group is the iterated wreath-style product the
 // AutoTree exposes.
+//
+// The order is computed once per tree, on the first call, so concurrent
+// callers share one result.
 func (t *Tree) AutOrder() *big.Int {
-	if t.Root == nil {
-		return big.NewInt(1)
-	}
-	return nodeAutOrder(t.Root)
+	t.autOrderOnce.Do(func() {
+		t.autOrder = big.NewInt(1)
+		if t.Root != nil {
+			var tmp big.Int
+			mulAutOrder(t.autOrder, &tmp, t.Root)
+		}
+	})
+	return t.autOrder
 }
 
-func nodeAutOrder(nd *Node) *big.Int {
-	if nd.autOrder != nil {
-		return nd.autOrder
-	}
-	order := big.NewInt(1)
+// mulAutOrder multiplies order by |Aut| of nd's subtree: by each leaf's
+// group order, and by j at the j-th sibling of each run of
+// equal-certificate siblings, so a run of r siblings contributes r!.
+// tmp is scratch.
+func mulAutOrder(order, tmp *big.Int, nd *Node) {
 	switch nd.Kind {
-	case KindSingleton:
 	case KindLeaf:
-		order = group.New(len(nd.Verts), nd.localGens).Order()
+		order.Mul(order, group.New(len(nd.Verts), nd.localGens).Order())
 	case KindInternal:
-		for _, c := range nd.Children {
-			order.Mul(order, nodeAutOrder(c))
-		}
 		run := 1
-		for i := 1; i <= len(nd.Children); i++ {
-			if i < len(nd.Children) && bytes.Equal(nd.Children[i].Cert, nd.Children[i-1].Cert) {
+		for i, c := range nd.Children {
+			mulAutOrder(order, tmp, c)
+			if i > 0 && bytes.Equal(c.Cert, nd.Children[i-1].Cert) {
 				run++
-				continue
+				order.Mul(order, tmp.SetInt64(int64(run)))
+			} else {
+				run = 1
 			}
-			if run > 1 {
-				order.Mul(order, factorial(run))
-			}
-			run = 1
 		}
 	}
-	nd.autOrder = order
-	return order
-}
-
-func factorial(k int) *big.Int {
-	f := big.NewInt(1)
-	for i := 2; i <= k; i++ {
-		f.Mul(f, big.NewInt(int64(i)))
-	}
-	return f
 }
 
 // Orbits returns the orbit partition of the vertices under Aut(G, π) —

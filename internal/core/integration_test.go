@@ -5,7 +5,7 @@ import (
 	"math/big"
 	"testing"
 
-	"dvicl/internal/engine"
+	"dvicl/internal/canon"
 	"dvicl/internal/gen"
 )
 
@@ -140,7 +140,7 @@ func TestBenchmarkFamilyShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := d.Build(1)
-		tree := Build(g, nil, Options{Budget: engine.Budget{LeafMaxNodes: 1}}) // don't solve, just divide
+		tree := Build(g, nil, Options{LeafPolicy: canon.PolicyTraces})
 		if s := tree.Stats(); s.Nodes != 1 {
 			t.Fatalf("%s: AutoTree has %d nodes, want root-only", name, s.Nodes)
 		}

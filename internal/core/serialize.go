@@ -20,14 +20,16 @@ import (
 //	body | CRC32-IEEE u32 of everything before it (4)
 //
 // Fixed-width fields are little-endian; the body is unsigned varints.
-// It holds the global colors π(v), the Truncated flag, then the nodes in
-// preorder. A node is its kind, its division, its vertex count and the
-// gaps between its sorted vertices, its label count and labels γg, and
-// its 32-byte certificate. A non-singleton leaf adds its local
-// generators (a count, then each as the images of its vertex positions)
-// and its local graph (vertex count, then per vertex the count and gaps
-// of its higher neighbors); an internal node adds its child count and
-// children.
+// It holds the global colors π(v), a 0, then the nodes in preorder. The
+// 0 fills the slot where older builds flagged a tree whose leaf searches
+// were cut short; Load rejects a record with 1 there, so the tree store
+// rebuilds that tree exactly instead of serving it. A node is its kind,
+// its division, its vertex count and the gaps between its sorted
+// vertices, its label count and labels γg, and its 32-byte certificate.
+// A non-singleton leaf adds its local generators (a count, then each as
+// the images of its vertex positions) and its local graph (vertex count,
+// then per vertex the count and gaps of its higher neighbors); an
+// internal node adds its child count and children.
 //
 // The graph is not stored: the caller supplies it to Load, which checks
 // its hash. Neither is anything a loaded tree can work out for itself:
@@ -54,11 +56,7 @@ func (t *Tree) Save() []byte {
 	for _, c := range t.colors {
 		out = binary.AppendUvarint(out, uint64(c))
 	}
-	truncated := uint64(0)
-	if t.Truncated {
-		truncated = 1
-	}
-	out = binary.AppendUvarint(out, truncated)
+	out = binary.AppendUvarint(out, 0)
 	out = appendNode(out, t.Root)
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
@@ -136,7 +134,7 @@ func Load(data []byte, g *graph.Graph) (*Tree, error) {
 	for v := range t.colors {
 		t.colors[v] = d.varint(n, "color")
 	}
-	t.Truncated = d.varint(2, "truncated flag") == 1
+	d.varint(1, "truncated flag")
 	t.Root = d.node()
 	if d.err == nil && len(t.Root.Verts) != n {
 		d.fail("root does not cover the graph")

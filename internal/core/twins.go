@@ -2,9 +2,10 @@ package core
 
 import (
 	"slices"
-	"sort"
 
+	"dvicl/internal/coloring"
 	"dvicl/internal/engine"
+	"dvicl/internal/graph"
 	"dvicl/internal/obs"
 )
 
@@ -22,39 +23,39 @@ import (
 // are left to the regular machinery (DivideS isolates them anyway, since
 // for an equitable coloring a twin class's neighborhood is a union of
 // whole cells, i.e. removable bicliques).
-func (b *builder) buildSimplified(wk *worker, ts *obs.TraceSpan) (*Node, error) {
-	n := b.t.g.N()
-	detect := obs.StartUnder(b.opt.Obs, ts, obs.PhaseTwins)
-	twinsOf := b.wholeClassTwins()
-	detect.End()
+//
+// pi is the build's equitable coloring. With DisableTwinSimplification
+// set, detection is skipped and the whole graph is divided.
+func (b *builder) buildSimplified(pi *coloring.Coloring, wk *worker, ts *obs.TraceSpan) (*Node, error) {
+	var twinsOf map[int][]int
+	var removed []int
+	if !b.opt.DisableTwinSimplification {
+		detect := obs.StartUnder(b.opt.Obs, ts, obs.PhaseTwins)
+		twinsOf = wholeClassTwins(b.t.g, pi)
+		detect.End()
+		for _, twins := range twinsOf {
+			removed = append(removed, twins...)
+		}
+		if len(removed) > 0 {
+			b.opt.Obs.Add(obs.TwinVertsCollapsed, int64(len(removed)))
+			detect.SetAttr("collapsed", int64(len(removed)))
+		}
+	}
 	mark := wk.ws.Arena.Mark()
 	defer wk.ws.Arena.Release(mark)
-	if len(twinsOf) == 0 {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return b.cl(b.subgraphOf(all, wk), wk, ts)
-	}
-	removed := make([]bool, n)
-	var collapsed int64
-	for _, twins := range twinsOf {
-		collapsed += int64(len(twins))
-		for _, v := range twins {
-			removed[v] = true
-		}
-	}
-	b.opt.Obs.Add(obs.TwinVertsCollapsed, collapsed)
-	detect.SetAttr("collapsed", collapsed)
-	var kept []int
+	slices.Sort(removed)
+	n := b.t.g.N()
+	kept := make([]int, 0, n-len(removed))
 	for v := 0; v < n; v++ {
-		if !removed[v] {
+		if len(removed) > 0 && removed[0] == v {
+			removed = removed[1:]
+		} else {
 			kept = append(kept, v)
 		}
 	}
 	root, err := b.cl(b.subgraphOf(kept, wk), wk, ts)
-	if err != nil {
-		return nil, err
+	if err != nil || len(twinsOf) == 0 {
+		return root, err
 	}
 	expand := obs.StartUnder(b.opt.Obs, ts, obs.PhaseTwins)
 	expanded, err := b.expandTwins(root, twinsOf, wk, expand.TraceSpan())
@@ -79,33 +80,34 @@ func (b *builder) buildSimplified(wk *worker, ts *obs.TraceSpan) (*Node, error) 
 	return wrapper, nil
 }
 
-// wholeClassTwins finds every color class whose members are pairwise
-// structural equivalent, returning representative -> other members.
-func (b *builder) wholeClassTwins() map[int][]int {
-	n := b.t.g.N()
-	classes := map[int][]int{}
-	for v := 0; v < n; v++ {
-		c := b.t.colors[v]
-		classes[c] = append(classes[c], v)
-	}
-	out := map[int][]int{}
-	for _, members := range classes {
-		if len(members) < 2 {
+// wholeClassTwins finds every cell of pi with two or more members whose
+// members are pairwise structurally equivalent (equal neighbor rows),
+// returning its least member -> the other members, ascending. Only a
+// twin class allocates.
+func wholeClassTwins(g *graph.Graph, pi *coloring.Coloring) map[int][]int {
+	var out map[int][]int
+	for st := 0; st < pi.N(); st = pi.CellEnd(st) {
+		end := pi.CellEnd(st)
+		if end-st < 2 {
 			continue
 		}
-		sort.Ints(members)
-		rep := members[0]
-		repNb := b.t.g.NeighborSlice(rep)
-		allTwins := true
-		for _, v := range members[1:] {
-			if !slices.Equal(repNb, b.t.g.NeighborSlice(v)) {
-				allTwins = false
-				break
-			}
+		nb := g.Neighbors32(pi.LabAt(st))
+		twins := true
+		for p := st + 1; p < end && twins; p++ {
+			twins = slices.Equal(nb, g.Neighbors32(pi.LabAt(p)))
 		}
-		if allTwins {
-			out[rep] = members[1:]
+		if !twins {
+			continue
 		}
+		members := make([]int, end-st)
+		for i := range members {
+			members[i] = pi.LabAt(st + i)
+		}
+		slices.Sort(members)
+		if out == nil {
+			out = map[int][]int{}
+		}
+		out[members[0]] = members[1:]
 	}
 	return out
 }

@@ -1,9 +1,9 @@
 // Package engine is the resource-control substrate of the compute stack:
 // one Budget type for every bound the system enforces (whole-build
-// deadline, whole-build search-node cap, per-leaf caps), a cancellation
-// controller (Ctl) threaded from the serving layer down into the
-// refinement and backtrack-search hot loops, and reusable scratch
-// workspaces that make the 1-WL refinement allocation-free.
+// deadline and whole-build search-node cap), a cancellation controller
+// (Ctl) threaded from the serving layer down into the refinement and
+// backtrack-search hot loops, and reusable scratch workspaces that make
+// the 1-WL refinement allocation-free.
 //
 // The paper runs every labeler under a hard two-hour budget;
 // nauty/Traces and bliss likewise treat resource-bounded, restartable
@@ -58,13 +58,11 @@ func Internalf(op, format string, args ...any) *InternalError {
 	return &InternalError{Op: op, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Budget bounds one canonical-labeling build end to end. The zero value
-// means unlimited everywhere. A whole-build bound (BuildTimeout or
-// MaxNodes) composes with the per-leaf bounds: whichever trips first
-// stops the work — the whole-build bounds hard (typed error), the
-// per-leaf bounds soft (truncated leaf, best-effort labeling), matching
-// how the paper's evaluation both caps individual searches and kills
-// whole runs at two hours.
+// Budget bounds one canonical-labeling build end to end, as the paper's
+// evaluation kills whole runs at two hours. The zero value means
+// unlimited. Whichever bound trips first stops the build with
+// ErrBudgetExceeded, so a labeling is returned only from a search that
+// finished.
 type Budget struct {
 	// BuildTimeout bounds one whole build (or baseline search) by wall
 	// clock, measured from NewCtl. It composes with any context deadline:
@@ -73,18 +71,6 @@ type Budget struct {
 	// MaxNodes bounds the total search-tree nodes visited across every
 	// leaf search of one build. Exceeding it returns ErrBudgetExceeded.
 	MaxNodes int64
-	// LeafMaxNodes bounds each individual leaf search's nodes. A leaf
-	// that trips it is truncated (best-effort labeling, Tree.Truncated
-	// set) rather than failing the build.
-	LeafMaxNodes int64
-	// LeafTimeout bounds each individual leaf search by wall clock, with
-	// the same soft truncation semantics as LeafMaxNodes.
-	LeafTimeout time.Duration
-}
-
-// IsZero reports whether no bound is set.
-func (b Budget) IsZero() bool {
-	return b.BuildTimeout == 0 && b.MaxNodes == 0 && b.LeafMaxNodes == 0 && b.LeafTimeout == 0
 }
 
 // pollEvery is how many Tick calls pass between cancellation polls: the
@@ -114,7 +100,6 @@ type Ctl struct {
 // NewCtl builds the controller for one build under ctx and b. It
 // returns nil — the no-op controller — when there is nothing to
 // enforce: no cancelable context, no whole-build deadline, no node cap.
-// (Per-leaf bounds are enforced by the leaf search itself, not the Ctl.)
 func NewCtl(ctx context.Context, b Budget) *Ctl {
 	var done <-chan struct{}
 	if ctx != nil {

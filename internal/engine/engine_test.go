@@ -16,10 +16,6 @@ func TestNewCtlNoopWhenNothingToEnforce(t *testing.T) {
 	if ctl := NewCtl(context.Background(), Budget{}); ctl != nil {
 		t.Fatal("NewCtl(Background, zero budget) should be nil")
 	}
-	// Per-leaf bounds are enforced by the leaf search, not the Ctl.
-	if ctl := NewCtl(context.Background(), Budget{LeafMaxNodes: 10, LeafTimeout: time.Second}); ctl != nil {
-		t.Fatal("per-leaf-only budget should yield a nil Ctl")
-	}
 	// Each whole-build bound alone forces a real controller.
 	if ctl := NewCtl(context.Background(), Budget{MaxNodes: 1}); ctl == nil {
 		t.Fatal("MaxNodes should yield a controller")
@@ -131,19 +127,6 @@ func TestCtlContextDeadlineComposes(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	if err := ctl.Poll(); err == nil {
 		t.Fatal("expired context deadline not observed")
-	}
-}
-
-func TestBudgetIsZero(t *testing.T) {
-	if !(Budget{}).IsZero() {
-		t.Fatal("zero Budget should report IsZero")
-	}
-	for _, b := range []Budget{
-		{BuildTimeout: 1}, {MaxNodes: 1}, {LeafMaxNodes: 1}, {LeafTimeout: 1},
-	} {
-		if b.IsZero() {
-			t.Fatalf("%+v should not report IsZero", b)
-		}
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 	PruneOrbit    // P_C hits: candidate cut by orbit pruning
 	Automorphisms // distinct non-identity generators discovered
 	Backjumps     // automorphism backjumps (against the first or the best leaf)
-	Truncations   // searches aborted by MaxNodes or Deadline
+	Truncations   // leaf searches stopped by the whole-build Budget
 
 	// internal/core — DviCL divide & combine.
 	DivideICalls       // DivideI attempts (Algorithm 2)
@@ -108,7 +108,7 @@ var counterInfo = [numCounters]struct{ name, help string }{
 	PruneOrbit:         {"prune_orbit", "Candidates cut by orbit pruning (P_C)."},
 	Automorphisms:      {"automorphisms", "Distinct non-identity automorphism generators discovered."},
 	Backjumps:          {"backjumps", "Automorphism backjumps taken by the leaf engine."},
-	Truncations:        {"truncations", "Leaf searches aborted by MaxNodes or Deadline."},
+	Truncations:        {"truncations", "Leaf searches stopped by the whole-build budget; their build returned no labeling."},
 	DivideICalls:       {"divide_i_calls", "DivideI attempts (Algorithm 2)."},
 	DivideSCalls:       {"divide_s_calls", "DivideS attempts (Algorithm 3)."},
 	LeafSearches:       {"leaf_searches", "Non-singleton leaves labeled by the leaf engine."},

@@ -79,8 +79,8 @@ var (
 	// verification, or carries an implausible length field.
 	ErrChecksum = errors.New("store: checksum mismatch")
 	// ErrTruncated: the file ends in the middle of a header or record
-	// where the format requires more bytes (strict readers only; Open
-	// recovers a torn WAL tail instead).
+	// where the format requires more bytes (a snapshot or a tree record;
+	// Open recovers a torn WAL tail instead).
 	ErrTruncated = errors.New("store: truncated file")
 	// ErrOutOfOrder: a WAL record's sequence number is neither covered by
 	// the snapshot nor the next expected id.
@@ -568,33 +568,6 @@ func readWALRecord(br *bufio.Reader) (seq uint64, cert string, n int, err error)
 		return 0, "", 0, ErrChecksum
 	}
 	return seq, string(payload), int(len(hdr)) + int(length) + 4, nil
-}
-
-// WALRecord is one decoded WAL entry (strict reader output).
-type WALRecord struct {
-	Seq  uint64
-	Cert string
-}
-
-// ReadWAL is the strict WAL reader: the header and every record must be
-// complete and verified, or a typed error is returned (ErrTruncated for a
-// torn tail — unlike Open, which recovers it).
-func ReadWAL(r io.Reader) ([]WALRecord, error) {
-	br := bufio.NewReader(r)
-	if err := readWALHeader(br); err != nil {
-		return nil, err
-	}
-	var recs []WALRecord
-	for {
-		seq, cert, _, err := readWALRecord(br)
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, WALRecord{Seq: seq, Cert: cert})
-	}
 }
 
 // readStep is the most readFull allocates ahead of the bytes it has read.

@@ -294,32 +294,25 @@ func TestStoreStaleWALAfterCompactCrash(t *testing.T) {
 	}
 }
 
-func TestReadWALStrict(t *testing.T) {
+// TestStoreWALBadMagic: a WAL that does not start with the WAL magic
+// fails Open with ErrBadMagic rather than being replayed or reset.
+func TestStoreWALBadMagic(t *testing.T) {
 	dir := t.TempDir()
 	s := openAppend(t, dir, []string{"x", "y", "z"})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, WALName))
+	walPath := filepath.Join(dir, WALName)
+	b, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadWAL(bytes.NewReader(b))
-	if err != nil {
+	copy(b, "JUNK")
+	if err := os.WriteFile(walPath, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 || recs[2].Seq != 2 || recs[2].Cert != "z" {
-		t.Fatalf("recs = %+v", recs)
-	}
-	// Strict reader: a truncated WAL is a typed error, never partial data.
-	if _, err := ReadWAL(bytes.NewReader(b[:len(b)-3])); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
-	}
-	// Bad file magic.
-	bad := append([]byte(nil), b...)
-	copy(bad, "JUNK")
-	if _, err := ReadWAL(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("Open err = %v, want ErrBadMagic", err)
 	}
 }
 

@@ -26,7 +26,8 @@
 // record filed under another class's key fails the graph-hash check
 // with store.ErrChecksum; the fallback rebuild swallows all of them into
 // the treestore_corrupt counter. Records written by older builds carry
-// version 1 and are rebuilt once.
+// version 1 and are rebuilt once, as is a version-2 record an older
+// build flagged as cut short by a per-leaf bound.
 //
 // Decoded trees are held in a byte-budgeted LRU (cost = the tree's
 // estimated heap, core.Tree.HeapBytes), and
@@ -141,9 +142,8 @@ func Open(dir string, opt Options) (*Store, error) {
 // and cached). Corrupt records are counted, deleted and rebuilt — a Get
 // fails only on cancellation, budget exhaustion, or an undecodable
 // certificate. The returned tree is shared and must be treated as
-// read-only; its automorphism-group order is precomputed, so Orbits,
-// AutOrder, Quotient and fresh ssm.Index queries on it are safe
-// concurrently.
+// read-only; Orbits, AutOrder (computed once per tree), Quotient and
+// fresh ssm.Index queries on it are safe concurrently.
 func (s *Store) Get(ctx context.Context, cert []byte) (*core.Tree, error) {
 	rec := obs.RecorderFor(ctx, s.opt.Obs)
 	key := sha256.Sum256(cert)
@@ -219,7 +219,6 @@ func (s *Store) loadOrRebuild(ctx context.Context, rec *obs.Recorder, key [32]by
 	if err != nil {
 		return nil, err
 	}
-	warm(tree)
 	if s.dir != "" {
 		span := obs.StartUnder(rec, nil, obs.PhaseTreePersist)
 		perr := s.writeRecord(key, tree.Save())
@@ -254,7 +253,6 @@ func (s *Store) loadDisk(rec *obs.Recorder, key [32]byte, g *graph.Graph) (*core
 		_ = os.Remove(path)
 		return nil, false
 	}
-	warm(tree)
 	rec.Inc(obs.TreeStoreDiskHits)
 	return tree, true
 }
@@ -266,13 +264,6 @@ func (s *Store) buildOpts(rec *obs.Recorder) core.Options {
 	opt := s.opt.Build
 	opt.Obs = rec
 	return opt
-}
-
-// warm precomputes the tree's lazily memoized state (the per-node
-// automorphism-group orders) before the tree is shared, so concurrent
-// readers never race on the memo.
-func warm(t *core.Tree) {
-	t.AutOrder()
 }
 
 // insertLocked caches a decoded tree and evicts from the cold end until

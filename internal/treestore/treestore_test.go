@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -155,6 +157,14 @@ func TestCorruptRecordFallsBackToRebuild(t *testing.T) {
 		"version":  func(d []byte) []byte { d[4] = 99; return d },
 		"v1":       func(d []byte) []byte { d[4] = 1; return d },
 		"empty":    func(d []byte) []byte { return nil },
+		// An older build's record of a tree whose leaf searches were cut
+		// short: a 1 after the colors (one byte each here), CRC resealed.
+		"truncated flag": func(d []byte) []byte {
+			d[4+2+sha256.Size+gen.GridW(2, 4).N()] = 1
+			body := d[:len(d)-4]
+			binary.LittleEndian.PutUint32(d[len(body):], crc32.ChecksumIEEE(body))
+			return d
+		},
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -268,7 +278,8 @@ func TestRecordUnderAnotherKeyIsRebuilt(t *testing.T) {
 }
 
 // TestSingleFlight: a thundering herd on one cold certificate performs
-// exactly one rebuild.
+// exactly one rebuild, and the herd's first AutOrder calls on the shared
+// tree agree.
 func TestSingleFlight(t *testing.T) {
 	rec := obs.New()
 	s, err := Open("", Options{Obs: rec})
@@ -280,6 +291,7 @@ func TestSingleFlight(t *testing.T) {
 
 	const goroutines = 16
 	trees := make([]*core.Tree, goroutines)
+	orders := make([]string, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
@@ -291,15 +303,19 @@ func TestSingleFlight(t *testing.T) {
 				return
 			}
 			trees[i] = tr
+			orders[i] = tr.AutOrder().String()
 		}(i)
 	}
 	wg.Wait()
 	if got := rec.Counter(obs.TreeRebuilds); got != 1 {
 		t.Fatalf("tree_rebuilds = %d, want 1 (single-flight)", got)
 	}
-	for _, tr := range trees[1:] {
+	for i, tr := range trees[1:] {
 		if tr != trees[0] {
 			t.Fatal("waiters got different tree instances")
+		}
+		if orders[i+1] != orders[0] {
+			t.Fatalf("AutOrder = %s and %s on one tree", orders[i+1], orders[0])
 		}
 	}
 }
