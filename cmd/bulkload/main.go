@@ -7,8 +7,8 @@
 // Usage:
 //
 //	bulkload [-in graphs.g6] [-format graph6|edgelist|auto] [-data dir]
-//	         [-workers n] [-shards n] [-sync] [-cache n] [-compact-every n]
-//	         [-report out.json] [-metrics-json out.json] [-progress n]
+//	         [-workers n] [-shards n] [-sync] [-cache n] [-report out.json]
+//	         [-metrics-json out.json] [-progress n] [-slow-build d]
 //
 // The input (default stdin) is read record by record — one graph6 string
 // per line, or blank-line-separated edge lists — so arbitrarily large
@@ -69,7 +69,6 @@ func main() {
 	shards := flag.Int("shards", 16, "index shards (ignored when -data holds an existing index)")
 	sync := flag.Bool("sync", false, "fsync the WAL on every add (durable to power loss)")
 	cache := flag.Int("cache", 0, "certificate LRU cache entries (0 = default, negative = off)")
-	compactEvery := flag.Int("compact-every", 0, "snapshot a shard after this many WAL appends (0 = default)")
 	reportPath := flag.String("report", "", "write the ingest report JSON here (empty = stdout)")
 	metricsJSON := flag.String("metrics-json", "", "write the observability snapshot to this file")
 	progress := flag.Int64("progress", 0, "log progress to stderr every n records (0 = off)")
@@ -85,11 +84,10 @@ func main() {
 
 	rec := dvicl.NewMetricsRecorder()
 	ix, err := dvicl.OpenGraphIndex(*data, dvicl.IndexOptions{
-		DviCL:        dvicl.Options{Obs: rec},
-		CacheSize:    *cache,
-		SyncWrites:   *sync,
-		CompactEvery: *compactEvery,
-		Shards:       *shards,
+		DviCL:      dvicl.Options{Obs: rec},
+		CacheSize:  *cache,
+		SyncWrites: *sync,
+		Shards:     *shards,
 	})
 	if err != nil {
 		fatal(err)

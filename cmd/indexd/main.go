@@ -7,10 +7,10 @@
 // Usage:
 //
 //	indexd [-addr :7171] [-data dir] [-shards n] [-sync] [-cache n]
-//	       [-compact-every n] [-max-inflight n] [-max-verts n]
-//	       [-max-body-bytes n] [-timeout d] [-build-timeout d] [-workers n]
-//	       [-bulk-workers n] [-metrics-json out.json] [-debug-addr :6060]
-//	       [-slow-build d] [-flight-recorder n] [-treestore] [-treestore-mem n]
+//	       [-max-inflight n] [-max-verts n] [-max-body-bytes n]
+//	       [-timeout d] [-build-timeout d] [-workers n] [-bulk-workers n]
+//	       [-metrics-json out.json] [-debug-addr :6060] [-slow-build d]
+//	       [-flight-recorder n] [-treestore] [-treestore-mem n]
 //
 // Endpoints (JSON; see docs/OPERATIONS.md for curl examples):
 //
@@ -19,7 +19,7 @@
 //	POST /lookup   same body → {"ids":[0,3]}
 //	POST /batch    {"ops":[{"op":"add","n":...,"edges":...},...]}
 //	POST /bulk     streaming graph6 body, one record per line → ingest report
-//	POST /flush    force a snapshot compaction → index stats
+//	POST /flush    fsync every shard's WAL → index stats
 //	GET  /stats    index + cache + counter statistics
 //	GET  /metrics  Prometheus text exposition (counters, phase histograms, gauges)
 //	GET  /orbits?id=N    orbit partition of the stored graph's class
@@ -44,13 +44,13 @@
 // than -slow-build are logged as structured slow-build lines.
 //
 // With -data the index is durable: every Add is write-through logged to a
-// WAL and periodically compacted into a snapshot; restart (even kill -9)
-// reloads the same ids. Without -data the index is in-memory only.
+// WAL, the index's only file per shard; restart (even kill -9) reloads
+// the same ids. Without -data the index is in-memory only.
 //
 // -max-inflight bounds concurrent graph-processing requests (excess
 // requests get 503 + Retry-After backpressure), -timeout bounds each
 // request end to end, and SIGINT/SIGTERM trigger a graceful shutdown that
-// drains connections and writes a final snapshot.
+// drains connections and syncs and closes the WALs.
 package main
 
 import (
@@ -76,7 +76,6 @@ func main() {
 	shards := flag.Int("shards", 1, "index shards (fixed at creation; an existing -data directory keeps its on-disk count)")
 	sync := flag.Bool("sync", false, "fsync the WAL on every add (durable to power loss)")
 	cache := flag.Int("cache", 0, "certificate LRU cache entries (0 = default 4096, negative = off)")
-	compactEvery := flag.Int("compact-every", 0, "snapshot after this many WAL appends (0 = default 8192, negative = only on /flush and shutdown)")
 	maxInflight := flag.Int("max-inflight", 2*runtime.GOMAXPROCS(0), "max concurrent graph-processing requests before 503 backpressure")
 	maxVerts := flag.Int("max-verts", 1<<20, "reject graphs with more vertices than this")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "reject JSON request bodies larger than this with 413 (0 = default 32 MiB)")
@@ -94,11 +93,10 @@ func main() {
 
 	rec := dvicl.NewMetricsRecorder()
 	opt := dvicl.IndexOptions{
-		DviCL:        dvicl.Options{Workers: *workers, Obs: rec, Budget: dvicl.Budget{BuildTimeout: *buildTimeout}},
-		CacheSize:    *cache,
-		SyncWrites:   *sync,
-		CompactEvery: *compactEvery,
-		Shards:       *shards,
+		DviCL:      dvicl.Options{Workers: *workers, Obs: rec, Budget: dvicl.Budget{BuildTimeout: *buildTimeout}},
+		CacheSize:  *cache,
+		SyncWrites: *sync,
+		Shards:     *shards,
 	}
 	if *treeStore {
 		opt.TreeStore = &dvicl.TreeStoreOptions{MemBudget: *treeStoreMem}
@@ -112,8 +110,8 @@ func main() {
 		log.Printf("indexd: in-memory index (no -data directory; adds will not survive restart)")
 	} else {
 		st := ix.Stats()
-		log.Printf("indexd: loaded %d graphs (%d classes, %d shards) from %s: snapshot=%d wal=%d torn-bytes=%d",
-			st.Graphs, st.Classes, st.Shards, *data, st.SnapshotCerts, st.ReplayedRecords, st.RecoveredBytes)
+		log.Printf("indexd: loaded %d graphs (%d classes, %d shards) from %s: wal=%d torn-bytes=%d",
+			st.Graphs, st.Classes, st.Shards, *data, st.ReplayedRecords, st.RecoveredBytes)
 	}
 
 	if *debugAddr != "" {

@@ -585,13 +585,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		{Name: "index_duplicates", Help: "Adds collapsed onto an existing class.", Value: float64(st.Duplicates)},
 		{Name: "index_shards", Help: "Configured shard count.", Value: float64(st.Shards)},
 		{Name: "index_cache_entries", Help: "Certificate LRU cache entries.", Value: float64(st.CacheEntries)},
-		{Name: "index_wal_records", Help: "WAL appends since the last snapshot, summed across shards.", Value: float64(st.WALRecords)},
 		{Name: "uptime_seconds", Help: "Seconds since the daemon started.", Value: time.Since(s.start).Seconds()},
 	}
 	if ts := st.TreeStore; ts != nil {
 		gauges = append(gauges,
 			obs.PromGauge{Name: "treestore_entries", Help: "Decoded AutoTrees cached in memory, summed across shards.", Value: float64(ts.Entries)},
-			obs.PromGauge{Name: "treestore_bytes", Help: "Encoded bytes of cached AutoTrees, summed across shards.", Value: float64(ts.Bytes)},
+			obs.PromGauge{Name: "treestore_bytes", Help: "Estimated heap bytes of cached decoded AutoTrees, summed across shards.", Value: float64(ts.Bytes)},
 			obs.PromGauge{Name: "treestore_mem_budget_bytes", Help: "Configured decoded-tree cache budget (index-wide).", Value: float64(ts.MemBudget)},
 		)
 	}

@@ -16,7 +16,7 @@
 //
 // For the paper's database-indexing application, GraphIndex maps
 // certificates to graph ids: NewGraphIndex is in-memory, OpenGraphIndex
-// is durable (write-ahead log + snapshots, crash-safe), and cmd/indexd
+// is durable (one write-ahead log per shard, crash-safe), and cmd/indexd
 // serves either over HTTP. See docs/ARCHITECTURE.md for the package map
 // and docs/OPERATIONS.md for operating the daemon.
 //

@@ -25,19 +25,17 @@ var ErrIndexClosed = errors.New("dvicl: graph index closed")
 // Got and Want name the two schemes.
 type SchemeError = store.SchemeError
 
-// Defaults for IndexOptions zero values.
-const (
-	defaultCacheSize    = 4096
-	defaultCompactEvery = 8192
-)
+// defaultCacheSize is the certificate cache size IndexOptions.CacheSize 0
+// selects.
+const defaultCacheSize = 4096
 
 // IndexOptions configures a GraphIndex opened with OpenGraphIndex. The
-// persistence knobs (SyncWrites, CompactEvery) apply only to an index
-// with a data directory.
+// persistence knob SyncWrites applies only to an index with a data
+// directory.
 type IndexOptions struct {
 	// DviCL configures the underlying certificate builds (zero value is
 	// fine). Attach an observability recorder via DviCL.Obs to get the
-	// index_*, cert_cache_*, wal_* and snapshot counters.
+	// index_*, cert_cache_* and wal_* counters.
 	DviCL Options
 	// CacheSize bounds the LRU certificate cache (entries, summed across
 	// cache stripes). 0 means the default (4096); negative disables
@@ -46,15 +44,14 @@ type IndexOptions struct {
 	// SyncWrites fsyncs the WAL on every Add. Off, an acknowledged Add
 	// survives process crash (kill -9) but not necessarily power loss.
 	SyncWrites bool
-	// CompactEvery triggers a background snapshot compaction of a shard
-	// after this many WAL appends to it. 0 means the default (8192);
-	// negative disables automatic compaction (Flush still compacts on
-	// demand).
+	// CompactEvery is ignored. A shard's WAL is its whole on-disk state:
+	// no Add removes or rewrites a certificate, so there is nothing to
+	// compact. The field remains so that code setting it still compiles.
 	CompactEvery int
 	// Shards partitions the certificate map, cache, and WAL into this
 	// many independently locked shards (certificates are hash-routed, so
 	// isomorphic graphs always land on the same shard). 0 or 1 keeps the
-	// original single-shard layout (index.snap/index.wal at the root); a
+	// original single-shard layout (index.wal at the root); a
 	// sharded index writes an index.manifest plus shard-NNN/
 	// subdirectories. The count is fixed at creation: reopening an
 	// existing directory adopts the on-disk count and ignores this field.
@@ -79,17 +76,15 @@ type TreeStoreOptions = treestore.Options
 
 // indexShard is one independently locked partition of a GraphIndex: a
 // slice of the certificate space (hash-routed by certificate bytes) with
-// its own class map, id list, and — when durable — its own WAL segment
-// and snapshot.
+// its own class map, id list, and — when durable — its own WAL.
 type indexShard struct {
 	mu      sync.RWMutex
 	classes map[string][]int // certificate -> local ids, insertion order
 	certs   []string         // local id -> certificate
 	closed  bool
 
-	st         *store.Store // nil for an in-memory index
-	ts         *treestore.Store
-	compacting atomic.Bool
+	st *store.Store // nil for an in-memory index
+	ts *treestore.Store
 }
 
 // GraphIndex is a canonical-certificate index over a collection of graphs
@@ -100,10 +95,9 @@ type indexShard struct {
 //
 // An index is either in memory (OpenGraphIndex with an empty directory,
 // or NewGraphIndex) or durable (OpenGraphIndex with a directory): the
-// durable form write-through-logs every Add to a WAL and periodically
-// compacts it into a snapshot (see internal/store for the on-disk
-// contract), so a restart — even after kill -9 — reloads the same id
-// assignment.
+// durable form write-through-logs every Add to a WAL, which is its whole
+// on-disk state (see internal/store for the contract), so a restart —
+// even after kill -9 — reloads the same id assignment.
 //
 // # Sharding
 //
@@ -111,11 +105,10 @@ type indexShard struct {
 // independently locked shards. A certificate is routed to its shard by a
 // hash of its bytes, so all graphs of one isomorphism class share a
 // shard and dedup stays exact; each shard owns its slice of the class
-// map plus — when durable — its own WAL segment and snapshot, compacted
-// independently. Ids encode the shard: id = localID·S + shardID, which
-// keeps them unique, stable across restarts, and monotone within a
-// shard. With Shards ≤ 1 the layout and ids are identical to the
-// pre-shard single-lock index.
+// map plus — when durable — its own WAL. Ids encode the shard: id =
+// localID·S + shardID, which keeps them unique, stable across restarts,
+// and monotone within a shard. With Shards ≤ 1 the layout and ids are
+// identical to the pre-shard single-lock index.
 //
 // # Concurrency
 //
@@ -133,18 +126,15 @@ type indexShard struct {
 //     with other Lookups; a Lookup racing an Add of an isomorphic graph
 //     may or may not see the new id, exactly like a map read racing a
 //     map write under an RWMutex.
-//   - Background compaction briefly takes one shard's write lock to cut
-//     a consistent snapshot of that shard; Adds to other shards proceed
-//     unimpeded.
+//   - Flush takes one shard's write lock at a time for its fsync; Adds
+//     to other shards proceed unimpeded.
 type GraphIndex struct {
 	shards []*indexShard
 	opt    Options
 	cache  *certCache // nil when disabled
 
-	dataDir      string // index root; "" for an in-memory index
-	compactEvery int
-	bg           sync.WaitGroup
-	closing      atomic.Bool
+	dataDir string // index root; "" for an in-memory index
+	closing atomic.Bool
 
 	// Write-behind tree persistence, present only with
 	// IndexOptions.TreeStore: Adds of new classes enqueue their
@@ -157,7 +147,6 @@ type GraphIndex struct {
 	tsWorkerWG sync.WaitGroup    // running persist workers
 
 	// Open-time recovery facts, summed across shards, surfaced in Stats.
-	snapshotCerts  int
 	replayedAtOpen int
 	recoveredBytes int64
 }
@@ -293,14 +282,14 @@ func (ix *GraphIndex) persistWorker() {
 }
 
 // OpenGraphIndex opens an index. With a directory it is durable: dir is
-// created if needed and the snapshot and WAL of every shard found there
-// are replayed (Stats reports what was recovered); an index written
-// under another certificate scheme fails with a *SchemeError. With
-// dir == "" the index lives in memory and starts empty; the persistence
-// knobs are ignored and any tree stores are memory-only. See
-// IndexOptions for the knobs. The caller must Close the index: a durable
-// one releases its WALs and writes final snapshots, and Close stops the
-// tree-store persist workers either way.
+// created if needed and the WAL of every shard found there is replayed,
+// after the snapshot an older build may have left (Stats reports what
+// was recovered); an index written under another certificate scheme
+// fails with a *SchemeError. With dir == "" the index lives in memory
+// and starts empty; SyncWrites is ignored and any tree stores are
+// memory-only. See IndexOptions for the knobs. The caller
+// must Close the index: a durable one syncs and releases its WALs, and
+// Close stops the tree-store persist workers either way.
 func OpenGraphIndex(dir string, opt IndexOptions) (*GraphIndex, error) {
 	nShards := max(opt.Shards, 1)
 	if nShards > store.MaxShards {
@@ -332,13 +321,9 @@ func OpenGraphIndex(dir string, opt IndexOptions) (*GraphIndex, error) {
 	}
 
 	ix := &GraphIndex{
-		shards:       newShards(nShards),
-		opt:          opt.DviCL,
-		dataDir:      dir,
-		compactEvery: opt.CompactEvery,
-	}
-	if ix.compactEvery == 0 {
-		ix.compactEvery = defaultCompactEvery
+		shards:  newShards(nShards),
+		opt:     opt.DviCL,
+		dataDir: dir,
 	}
 	if cacheSize := cmp.Or(opt.CacheSize, defaultCacheSize); cacheSize > 0 {
 		ix.cache = newCertCache(cacheSize, nShards)
@@ -359,7 +344,6 @@ func OpenGraphIndex(dir string, opt IndexOptions) (*GraphIndex, error) {
 			for local, cert := range sh.certs {
 				sh.classes[cert] = append(sh.classes[cert], local)
 			}
-			ix.snapshotCerts += res.SnapshotCerts
 			ix.replayedAtOpen += res.WALReplayed
 			ix.recoveredBytes += res.TornBytes
 		}
@@ -377,7 +361,8 @@ func OpenGraphIndex(dir string, opt IndexOptions) (*GraphIndex, error) {
 }
 
 // singleShardLayout reports whether dir holds a single-shard index
-// (index.snap or index.wal directly at the root). Single-shard indexes
+// (index.wal, or an older build's index.snap, directly at the root).
+// Single-shard indexes
 // write no manifest, so this is how every one of them is recognized on
 // reopen — without it, reopening one with Shards > 1 would start an
 // empty sharded index beside the existing data.
@@ -471,26 +456,11 @@ func (ix *GraphIndex) addCert(cert string, rec *obs.Recorder) (id int, duplicate
 			rec.Inc(obs.TreeStorePersistDropped)
 		}
 	}
-	// The compaction is claimed and counted into bg under the shard lock:
-	// Close marks the shard closed under the same lock before bg.Wait, so
-	// every bg.Add happens before that Wait.
-	compact := sh.st != nil && ix.compactEvery > 0 &&
-		sh.st.SinceSnapshot() >= ix.compactEvery && sh.compacting.CompareAndSwap(false, true)
-	if compact {
-		ix.bg.Add(1)
-	}
 	sh.mu.Unlock()
 
 	duplicate = len(members) > 0
 	if duplicate {
 		rec.Inc(obs.IndexAddDuplicate)
-	}
-	if compact {
-		go func() {
-			defer ix.bg.Done()
-			defer sh.compacting.Store(false)
-			_ = ix.flushShard(sh) // best effort; the WAL still holds everything
-		}()
 	}
 	return ix.globalID(shardID, local), duplicate, nil
 }
@@ -552,47 +522,33 @@ func (ix *GraphIndex) Classes() int {
 	return n
 }
 
-// Flush synchronously compacts the index: every shard's full certificate
-// list is written as a new snapshot (atomic rename) and its WAL is
-// reset. Shards are compacted one at a time, so concurrent Adds to other
-// shards proceed while each snapshot is cut. A no-op on an in-memory
-// index.
+// Flush fsyncs every shard's WAL, so every Add acknowledged before it
+// survives power loss even without SyncWrites. Each shard is synced under
+// its own lock, so Adds to other shards proceed meanwhile. A no-op on an
+// in-memory index.
 func (ix *GraphIndex) Flush() error {
 	if ix.dataDir == "" {
 		return nil
 	}
 	for _, sh := range ix.shards {
-		if err := ix.flushShard(sh); err != nil {
+		sh.mu.Lock()
+		err := ErrIndexClosed
+		if !sh.closed {
+			err = sh.st.Sync()
+		}
+		sh.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// flushShard compacts one shard under its own lock.
-func (ix *GraphIndex) flushShard(sh *indexShard) error {
-	defer obs.StartUnder(ix.opt.Obs, nil, obs.PhaseSnapshot).End()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed {
-		return ErrIndexClosed
-	}
-	return ix.flushShardLocked(sh)
-}
-
-func (ix *GraphIndex) flushShardLocked(sh *indexShard) error {
-	if err := sh.st.Compact(sh.certs); err != nil {
-		return err
-	}
-	ix.opt.Obs.Inc(obs.SnapshotsWritten)
-	return nil
-}
-
-// Close flushes a final snapshot of every shard of a durable index,
-// drains the write-behind tree persists, and releases the WALs and tree
-// stores. Afterwards Add, the symmetry queries and Ready return
-// ErrIndexClosed, as do Flushes of a durable index; reads of what was
-// stored (Lookup, Len, Stats) keep working. Close itself is idempotent.
+// Close drains the write-behind tree persists, closes the tree stores,
+// and closes the WALs of a durable index, which syncs them. Afterwards
+// Add, the symmetry queries and Ready return ErrIndexClosed, as do
+// Flushes of a durable index; reads of what was stored (Lookup, Len,
+// Stats) keep working. Close itself is idempotent.
 func (ix *GraphIndex) Close() error {
 	if !ix.closing.CompareAndSwap(false, true) {
 		return nil
@@ -602,7 +558,6 @@ func (ix *GraphIndex) Close() error {
 		sh.closed = true
 		sh.mu.Unlock()
 	}
-	ix.bg.Wait() // drain in-flight background compactions
 	if ix.tsPersist != nil {
 		// Shards are closed, so no new enqueues: wait out the queued
 		// persists, then retire the workers. Tree stores must outlive this
@@ -619,9 +574,6 @@ func (ix *GraphIndex) Close() error {
 			firstErr = err
 		}
 		if sh.st != nil {
-			if err := ix.flushShardLocked(sh); err != nil && firstErr == nil {
-				firstErr = err
-			}
 			if err := sh.st.Close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -672,12 +624,10 @@ type IndexStats struct {
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 
-	// Persistence state. WALRecords is the append count since the last
-	// snapshot summed across shards (the compaction pressure); the three
-	// recovery fields describe what OpenGraphIndex found on disk.
+	// Persistence state. The recovery fields describe what OpenGraphIndex
+	// found on disk: ReplayedRecords is the WAL records it replayed and
+	// RecoveredBytes the torn WAL tail it dropped, summed across shards.
 	Persistent      bool  `json:"persistent"`
-	WALRecords      int   `json:"wal_records"`
-	SnapshotCerts   int   `json:"snapshot_certs"`
 	ReplayedRecords int   `json:"replayed_records"`
 	RecoveredBytes  int64 `json:"recovered_bytes"`
 
@@ -694,7 +644,6 @@ func (ix *GraphIndex) Stats() IndexStats {
 	s := IndexStats{
 		Persistent:      ix.dataDir != "",
 		Shards:          len(ix.shards),
-		SnapshotCerts:   ix.snapshotCerts,
 		ReplayedRecords: ix.replayedAtOpen,
 		RecoveredBytes:  ix.recoveredBytes,
 	}
@@ -704,9 +653,6 @@ func (ix *GraphIndex) Stats() IndexStats {
 		s.Graphs += len(sh.certs)
 		s.Classes += len(sh.classes)
 		s.ShardGraphs[i] = len(sh.certs)
-		if sh.st != nil {
-			s.WALRecords += sh.st.SinceSnapshot()
-		}
 		sh.mu.RUnlock()
 	}
 	s.Duplicates = s.Graphs - s.Classes

@@ -104,7 +104,7 @@ func TestShardedIndexPersistence(t *testing.T) {
 }
 
 // TestShardedIndexSingleShardLayout: a directory created by a
-// single-shard index (index.snap/index.wal at the root, no manifest)
+// single-shard index (index.wal at the root, no manifest)
 // reopens as one shard even when more are requested.
 func TestShardedIndexSingleShardLayout(t *testing.T) {
 	dir := t.TempDir()
@@ -137,8 +137,7 @@ func TestShardedIndexSingleShardLayout(t *testing.T) {
 }
 
 // TestShardedIndexCrashRecovery is the multi-WAL kill -9 scenario: no
-// Close (so no final snapshots), plus a torn partial record appended to
-// every shard WAL by hand. Reopening must recover every acknowledged add
+// Close, plus a torn partial record appended to every shard WAL by hand. Reopening must recover every acknowledged add
 // and report the torn tails.
 func TestShardedIndexCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -212,12 +211,11 @@ func TestShardedIndexCrashRecovery(t *testing.T) {
 
 // TestShardedIndexHammer is the -race stress for the sharded index:
 // concurrent bulk-style AddCert traffic, graph Adds, Lookups, and Stats
-// against a persistent 4-shard index with a tiny compaction threshold, so
-// per-shard background compaction races real traffic. Then a reload
-// verifies nothing acknowledged was lost.
+// against a persistent 4-shard index. Then a reload verifies nothing
+// acknowledged was lost.
 func TestShardedIndexHammer(t *testing.T) {
 	dir := t.TempDir()
-	ix, err := OpenGraphIndex(dir, IndexOptions{Shards: 4, CompactEvery: 8, CacheSize: 16})
+	ix, err := OpenGraphIndex(dir, IndexOptions{Shards: 4, CacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

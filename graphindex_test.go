@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -97,15 +98,14 @@ func TestGraphIndexPersistence(t *testing.T) {
 		}
 	}
 	st := ix2.Stats()
-	if !st.Persistent || st.SnapshotCerts != len(graphs) {
+	if !st.Persistent || st.ReplayedRecords != len(graphs) || st.RecoveredBytes != 0 {
 		t.Fatalf("stats after clean reopen: %+v", st)
 	}
 }
 
 // TestGraphIndexCrashRecovery simulates kill -9: the index is never
-// closed (no final snapshot), and a torn partial record is appended to
-// the WAL by hand. Reopening must recover every acknowledged Add and
-// report the torn tail.
+// closed, and a torn partial record is appended to the WAL by hand.
+// Reopening must recover every acknowledged Add and report the torn tail.
 func TestGraphIndexCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	graphs := indexTestGraphs()
@@ -196,12 +196,11 @@ func TestGraphIndexCacheEviction(t *testing.T) {
 }
 
 // TestGraphIndexConcurrentAddLookup is the -race hammer for the
-// documented concurrency contract: many goroutines Add and Lookup
-// concurrently on a persistent index with a tiny compaction threshold, so
-// background snapshot compaction races real traffic too.
+// documented concurrency contract: many goroutines Add, Lookup and read
+// Stats concurrently on a persistent index.
 func TestGraphIndexConcurrentAddLookup(t *testing.T) {
 	dir := t.TempDir()
-	ix, err := OpenGraphIndex(dir, IndexOptions{CompactEvery: 8, CacheSize: 16})
+	ix, err := OpenGraphIndex(dir, IndexOptions{CacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,35 +255,6 @@ func TestGraphIndexConcurrentAddLookup(t *testing.T) {
 	}
 }
 
-// TestGraphIndexAutoCompaction checks that crossing CompactEvery triggers
-// a background snapshot without losing concurrent appends.
-func TestGraphIndexAutoCompaction(t *testing.T) {
-	dir := t.TempDir()
-	ix, err := OpenGraphIndex(dir, IndexOptions{CompactEvery: 4, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := indexTestGraphs()
-	for i := 0; i < 3; i++ {
-		for _, g := range graphs {
-			mustAdd(t, ix, g)
-		}
-	}
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// After Close the WAL is fully compacted into the snapshot.
-	ix2, err := OpenGraphIndex(dir, IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix2.Close()
-	st := ix2.Stats()
-	if st.Graphs != 3*len(graphs) || st.SnapshotCerts != 3*len(graphs) || st.ReplayedRecords != 0 {
-		t.Fatalf("stats after compacted reload: %+v", st)
-	}
-}
-
 // TestGraphIndexCloseInMemory: Close closes an in-memory index like a
 // durable one — Adds and Ready fail with ErrIndexClosed afterwards, and
 // a second Close is a no-op.
@@ -312,39 +282,72 @@ func TestGraphIndexCloseInMemory(t *testing.T) {
 	}
 }
 
-// TestGraphIndexCompactionCloseRace: Adds that trigger background
-// compactions race Close. Every compaction must be counted before Close
-// waits for them, so none outlives Close; under -race a compaction
-// counted concurrently with that wait is reported as a WaitGroup misuse.
-func TestGraphIndexCompactionCloseRace(t *testing.T) {
+// TestGraphIndexAddCloseRace: Adds race Close. Each Add either succeeds
+// or returns ErrIndexClosed, and a reopen finds every acknowledged Add
+// under its id and nothing else.
+func TestGraphIndexAddCloseRace(t *testing.T) {
+	graphs := indexTestGraphs()
 	certOf := NewGraphIndex(Options{})
 	var certs []string
-	for _, g := range indexTestGraphs() {
+	for _, g := range graphs {
 		certs = append(certs, certOf.Certificate(g))
 	}
-	for iter := 0; iter < 200; iter++ {
-		ix, err := OpenGraphIndex(t.TempDir(), IndexOptions{CompactEvery: 1, CacheSize: -1})
+	for iter := 0; iter < 50; iter++ {
+		dir := t.TempDir()
+		ix, err := OpenGraphIndex(dir, IndexOptions{CacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var mu sync.Mutex
+		acked := map[string][]int{} // certificate -> acknowledged ids
 		var wg sync.WaitGroup
+		var first sync.Once
+		adding := make(chan struct{}) // closed at the first acknowledged Add, or a worker's exit
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				defer first.Do(func() { close(adding) })
 				for i := w; ; i++ {
-					if _, _, err := ix.AddCert(certs[i%len(certs)]); err != nil {
+					cert := certs[i%len(certs)]
+					id, _, err := ix.AddCert(cert)
+					if err != nil {
 						if !errors.Is(err, ErrIndexClosed) {
 							t.Error(err)
 						}
 						return
 					}
+					mu.Lock()
+					acked[cert] = append(acked[cert], id)
+					mu.Unlock()
+					first.Do(func() { close(adding) })
 				}
 			}(w)
 		}
+		<-adding
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait()
+
+		ix2, err := OpenGraphIndex(dir, IndexOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for i, g := range graphs[:4] {
+			want := acked[certs[i]]
+			slices.Sort(want)
+			total += len(want)
+			if got := ix2.Lookup(g); !slices.Equal(got, want) {
+				t.Fatalf("iter %d, class %d: reopened ids %v, acknowledged %v", iter, i, got, want)
+			}
+		}
+		if ix2.Len() != total {
+			t.Fatalf("iter %d: reopened %d graphs, %d acknowledged", iter, ix2.Len(), total)
+		}
+		if err := ix2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

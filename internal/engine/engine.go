@@ -166,27 +166,6 @@ func (c *Ctl) Poll() error {
 	return nil
 }
 
-// Err returns the latched stop error, or nil while the build may
-// proceed. It does not poll.
-func (c *Ctl) Err() error {
-	if c == nil {
-		return nil
-	}
-	if h := c.halt.Load(); h != 0 {
-		return c.haltErr(h)
-	}
-	return nil
-}
-
-// Nodes returns the search-tree nodes charged so far — the partial
-// effort statistic reported alongside ErrCanceled/ErrBudgetExceeded.
-func (c *Ctl) Nodes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.nodes.Load()
-}
-
 func (c *Ctl) haltErr(h int32) error {
 	if h == 1 {
 		if c.ctx != nil {

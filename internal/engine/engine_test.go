@@ -38,12 +38,6 @@ func TestNilCtlIsSafe(t *testing.T) {
 	if err := c.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.Nodes(); n != 0 {
-		t.Fatalf("nil Ctl Nodes = %d", n)
-	}
 }
 
 func TestCtlCancelLatches(t *testing.T) {
@@ -57,9 +51,6 @@ func TestCtlCancelLatches(t *testing.T) {
 		t.Fatalf("Poll after cancel = %v, want ErrCanceled", err)
 	}
 	// Latched: every subsequent checkpoint observes the same outcome.
-	if err := ctl.Err(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Err after cancel = %v", err)
-	}
 	if err := ctl.Tick(1); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Tick after cancel = %v", err)
 	}
@@ -104,9 +95,6 @@ func TestCtlMaxNodes(t *testing.T) {
 	}
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if n := ctl.Nodes(); n < 100 {
-		t.Fatalf("Nodes = %d, want >= 100 (partial stats must survive)", n)
 	}
 }
 

@@ -58,13 +58,12 @@ const (
 	SSMLeafPruned     // SM embeddings rejected by the symmetry check
 
 	// GraphIndex + internal/store — the certificate index serving layer.
-	IndexAdds        // GraphIndex.Add calls
-	IndexLookups     // GraphIndex.Lookup calls
-	CertCacheHits    // certificate LRU cache hits (DviCL build skipped)
-	CertCacheMisses  // certificate LRU cache misses (DviCL build ran)
-	WALAppends       // records appended to the index WAL
-	WALReplayed      // WAL records replayed at OpenGraphIndex
-	SnapshotsWritten // snapshot compactions completed
+	IndexAdds       // GraphIndex.Add calls
+	IndexLookups    // GraphIndex.Lookup calls
+	CertCacheHits   // certificate LRU cache hits (DviCL build skipped)
+	CertCacheMisses // certificate LRU cache misses (DviCL build ran)
+	WALAppends      // records appended to the index WAL
+	WALReplayed     // WAL records replayed at OpenGraphIndex
 
 	// cmd/indexd — the HTTP serving layer.
 	HTTPRequests  // requests received (all endpoints)
@@ -125,7 +124,6 @@ var counterInfo = [numCounters]struct{ name, help string }{
 	CertCacheMisses:     {"cert_cache_misses", "Certificate LRU cache misses (DviCL build ran)."},
 	WALAppends:          {"wal_appends", "Records appended to the index WAL."},
 	WALReplayed:         {"wal_replayed", "WAL records replayed at index open."},
-	SnapshotsWritten:    {"snapshots_written", "Snapshot compactions completed."},
 	HTTPRequests:        {"http_requests", "HTTP requests received (all endpoints)."},
 	HTTPErrors:          {"http_errors", "HTTP responses with status >= 400 (includes throttled 503s)."},
 	HTTPThrottled:       {"http_throttled", "503s issued by the concurrency limiter."},
@@ -200,7 +198,6 @@ const (
 	PhaseIndexAdd    // one GraphIndex.Add (certificate + WAL append)
 	PhaseIndexLookup // one GraphIndex.Lookup (cache probe + maybe DviCL)
 	PhaseWALAppend   // one WAL record write (+ fsync when -sync)
-	PhaseSnapshot    // one snapshot compaction
 	PhaseHTTP        // one HTTP request, end to end
 	PhaseBulkIngest  // one bulk-ingest pipeline run (stream → shards)
 
@@ -225,7 +222,6 @@ var phaseNames = [numPhases]string{
 	PhaseIndexAdd:      "index_add",
 	PhaseIndexLookup:   "index_lookup",
 	PhaseWALAppend:     "wal_append",
-	PhaseSnapshot:      "snapshot",
 	PhaseHTTP:          "http_request",
 	PhaseBulkIngest:    "bulk_ingest",
 	PhaseTreeLoad:      "treestore_load",

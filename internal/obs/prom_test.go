@@ -100,7 +100,7 @@ func TestWritePromHistogram(t *testing.T) {
 		t.Errorf("0ns observation missing from the 1e-09 bucket:\n%s", text)
 	}
 	// A phase that never fired exposes no series.
-	if strings.Contains(text, `phase="snapshot"`) {
+	if strings.Contains(text, `phase="wal_append"`) {
 		t.Error("unfired phase must not be exposed")
 	}
 	// HELP/TYPE written exactly once for the whole family.

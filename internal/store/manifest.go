@@ -8,19 +8,17 @@ import (
 	"path/filepath"
 )
 
-// Sharded index layout. A single-shard index keeps the original PR 2
-// layout — index.snap and index.wal directly in the root directory, no
-// manifest — so every pre-shard directory stays readable. A sharded index
-// root instead holds a manifest plus one subdirectory per shard, each an
-// independent snapshot+WAL pair:
+// Sharded index layout. A single-shard index keeps the original layout —
+// index.wal directly in the root directory, no manifest — so every
+// pre-shard directory stays readable. A sharded index root instead holds
+// a manifest plus one subdirectory per shard, each with its own WAL:
 //
 //	index.manifest          {"version":1,"shards":16,"cert_scheme":1}
-//	shard-000/index.snap
 //	shard-000/index.wal
 //	shard-001/…
 //
 // The manifest is the source of truth for the shard count: it is written
-// once at creation (atomic tmp+rename, like snapshots) and never changes,
+// once at creation (atomic tmp+rename) and never changes,
 // so reopening with a different -shards flag adopts the on-disk count
 // instead of sharding certificates inconsistently.
 

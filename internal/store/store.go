@@ -1,33 +1,34 @@
 // Package store persists a certificate index: the durable substrate under
 // dvicl.GraphIndex and the indexd daemon.
 //
-// The on-disk state of an index directory is two files:
+// The on-disk state of an index directory is one file, index.wal: a
+// header, then one record per Add. The index is append-only — no Add
+// removes or rewrites a certificate — so the log is the whole state and
+// nothing ever rewrites what is already on disk.
 //
-//	index.snap — a point-in-time snapshot of the whole certificate list
-//	index.wal  — an append-only write-ahead log of Adds since the snapshot
+// The format is versioned and checksummed (see the format comments
+// below). The recovery contract:
 //
-// Both are versioned, checksummed binary formats (see the format comments
-// below). The recovery contract is:
+//   - The log may legitimately end mid-record after a crash (the torn
+//     tail of the write in flight at kill -9). Open truncates a torn tail
+//     and reports the dropped byte count in Result.TornBytes — recovery
+//     is explicit, never silent. Any *complete* record whose checksum
+//     fails, and any out-of-order sequence number, is corruption and
+//     fails the load with ErrChecksum / ErrOutOfOrder: partial state is
+//     never returned.
 //
-//   - A snapshot must verify end to end — magic, version, certificate
-//     scheme, record framing and the trailing CRC — or loading fails with
-//     a typed error (ErrBadMagic, *VersionError, *SchemeError,
-//     ErrChecksum, ErrTruncated). A snapshot is written to a temporary
-//     file and atomically renamed into place, so a crash during
-//     compaction never corrupts the previous snapshot.
+//   - An Append that fails is cut back off the log before it returns, so
+//     the next acknowledged record starts where the last one ended.
 //
-//   - A WAL may legitimately end mid-record after a crash (the torn tail
-//     of the write in flight at kill -9). Open truncates a torn tail and
-//     reports the dropped byte count in Result.TornBytes — recovery is
-//     explicit, never silent. Any *complete* record whose checksum fails,
-//     and any out-of-order sequence number, is corruption and fails the
-//     load with ErrChecksum / ErrOutOfOrder: partial state is never
-//     returned.
-//
-// Every WAL record carries the sequence number (= certificate id) it
-// appends, so replay is idempotent across the compaction window: if a
-// crash lands between "snapshot renamed" and "WAL reset", the stale WAL
-// records are recognized as already covered by the snapshot and skipped.
+// Older builds also compacted the log into a snapshot, index.snap.
+// Nothing writes one any more, but Open still reads a snapshot an older
+// build left as the prefix of the log: it must verify end to end — magic,
+// version, certificate scheme, record framing and the trailing CRC — or
+// loading fails with a typed error (ErrBadMagic, *VersionError,
+// *SchemeError, ErrChecksum, ErrTruncated). Every log record carries the
+// sequence number (= certificate id) it appends, so records the snapshot
+// already covers (an older build's crash between the snapshot rename and
+// the log reset) are recognized and skipped.
 package store
 
 import (
@@ -42,7 +43,8 @@ import (
 	"slices"
 )
 
-// File names inside an index directory.
+// File names inside an index directory. Only the WAL is written; a
+// snapshot is read when an older build left one.
 const (
 	SnapshotName = "index.snap"
 	WALName      = "index.wal"
@@ -128,34 +130,38 @@ type Options struct {
 
 // Result describes what Open loaded.
 type Result struct {
-	// Certs is the recovered certificate list, id-ordered: snapshot
-	// contents followed by replayed WAL appends.
+	// Certs is the recovered certificate list, id-ordered: an older
+	// build's snapshot, if the directory holds one, followed by the
+	// replayed WAL records.
 	Certs []string
-	// SnapshotCerts is how many of Certs came from the snapshot.
+	// SnapshotCerts is how many of Certs came from an older build's
+	// snapshot.
 	SnapshotCerts int
-	// WALReplayed is how many WAL records extended the snapshot (stale
-	// records already covered by the snapshot are not counted).
+	// WALReplayed is how many WAL records extended the snapshot (records
+	// it already covers are not counted).
 	WALReplayed int
 	// TornBytes is the size of the torn WAL tail dropped during crash
 	// recovery (0 on a clean shutdown).
 	TornBytes int64
 }
 
-// Store is the durable backend of one index directory: a loaded snapshot
-// plus an open WAL accepting appends. Methods are not themselves
-// synchronized — dvicl.GraphIndex serializes access under its own lock so
-// WAL order always matches id order.
+// Store is the durable backend of one index directory: an open WAL
+// accepting appends. Methods are not themselves synchronized —
+// dvicl.GraphIndex serializes access under its own lock so WAL order
+// always matches id order.
 type Store struct {
-	dir    string
 	opt    Options
 	wal    *os.File
 	walBuf []byte // scratch for record framing
 	// nextSeq is the sequence number the next Append writes (= the id the
-	// index will assign). sinceSnap counts appends since the last snapshot
-	// (compaction pressure).
-	nextSeq   uint64
-	sinceSnap int
-	closed    bool
+	// index will assign); end is the log's size after the last
+	// acknowledged record, where a failed Append is cut back to.
+	nextSeq uint64
+	end     int64
+	// broken latches a failed cut-back: the log's tail is unknown, so
+	// every later Append returns it.
+	broken error
+	closed bool
 }
 
 // Open loads (or creates) the index directory and returns the store plus
@@ -168,10 +174,11 @@ func Open(dir string, opt Options) (*Store, *Result, error) {
 	certs, err := ReadSnapshotFile(filepath.Join(dir, SnapshotName))
 	switch {
 	case err == nil:
+		// An older build's snapshot: the prefix of the log.
 		res.Certs = certs
 		res.SnapshotCerts = len(certs)
 	case errors.Is(err, os.ErrNotExist):
-		// Fresh directory (or WAL-only): start empty.
+		// The usual case: the log alone is the index.
 	default:
 		return nil, nil, err
 	}
@@ -180,13 +187,12 @@ func Open(dir string, opt Options) (*Store, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Store{dir: dir, opt: opt, wal: wal}
+	s := &Store{opt: opt, wal: wal}
 	if err := s.replayWAL(res); err != nil {
 		wal.Close()
 		return nil, nil, err
 	}
 	s.nextSeq = uint64(len(res.Certs))
-	s.sinceSnap = res.WALReplayed
 	return s, res, nil
 }
 
@@ -233,8 +239,8 @@ func (s *Store) replayWAL(res *Result) error {
 		good += int64(n)
 		switch {
 		case seq < snapCount:
-			// Already covered by the snapshot (crash landed between the
-			// snapshot rename and the WAL reset). Skip.
+			// Already covered by an older build's snapshot (its crash
+			// landed between the snapshot rename and the WAL reset). Skip.
 		case seq == next:
 			res.Certs = append(res.Certs, cert)
 			res.WALReplayed++
@@ -252,56 +258,52 @@ func (s *Store) replayWAL(res *Result) error {
 			return err
 		}
 	}
+	s.end = good
 	_, err = s.wal.Seek(good, io.SeekStart)
 	return err
 }
 
 // Append durably records one certificate and returns the sequence number
-// (certificate id) it was assigned.
+// (certificate id) it was assigned. If the write (or, under Options.Sync,
+// the fsync) fails, the record's bytes are cut back off the log, so a
+// later Append is not read back as the tail of a torn record; should the
+// cut itself fail, every later Append returns that error.
 func (s *Store) Append(cert string) (uint64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
+	if s.broken != nil {
+		return 0, s.broken
+	}
 	seq := s.nextSeq
 	rec := appendWALRecord(s.walBuf[:0], seq, cert)
 	s.walBuf = rec[:0]
-	if _, err := s.wal.Write(rec); err != nil {
+	_, err := s.wal.Write(rec)
+	if err == nil && s.opt.Sync {
+		err = s.wal.Sync()
+	}
+	if err != nil {
+		cerr := s.wal.Truncate(s.end)
+		if cerr == nil {
+			_, cerr = s.wal.Seek(s.end, io.SeekStart)
+		}
+		if cerr != nil {
+			s.broken = fmt.Errorf("%s: cutting back a failed append: %w", WALName, cerr)
+		}
 		return 0, err
 	}
-	if s.opt.Sync {
-		if err := s.wal.Sync(); err != nil {
-			return 0, err
-		}
-	}
+	s.end += int64(len(rec))
 	s.nextSeq++
-	s.sinceSnap++
 	return seq, nil
 }
 
-// SinceSnapshot returns the number of WAL records not yet covered by a
-// snapshot — the compaction pressure.
-func (s *Store) SinceSnapshot() int { return s.sinceSnap }
-
-// Compact atomically replaces the snapshot with certs (which must be the
-// full current id-ordered certificate list) and resets the WAL. A crash at
-// any point leaves the directory loadable: the snapshot rename is atomic,
-// and stale WAL records are skipped on replay via their sequence numbers.
-func (s *Store) Compact(certs []string) error {
+// Sync fsyncs the WAL, making every acknowledged Append durable to power
+// loss.
+func (s *Store) Sync() error {
 	if s.closed {
 		return ErrClosed
 	}
-	err := WriteFileAtomic(filepath.Join(s.dir, SnapshotName), func(w io.Writer) error {
-		return WriteSnapshot(w, certs)
-	})
-	if err != nil {
-		return err
-	}
-	if err := s.resetWAL(); err != nil {
-		return err
-	}
-	s.nextSeq = uint64(len(certs))
-	s.sinceSnap = 0
-	return nil
+	return s.wal.Sync()
 }
 
 // resetWAL truncates the WAL to a fresh header.
@@ -323,6 +325,7 @@ func (s *Store) writeWALHeader() error {
 	if _, err := s.wal.Write(hdr[:]); err != nil {
 		return err
 	}
+	s.end = walHeaderLen
 	return s.wal.Sync()
 }
 
@@ -341,7 +344,8 @@ func (s *Store) Close() error {
 
 // ---- snapshot codec ----
 //
-// Layout (little-endian):
+// Read only: older builds compacted the WAL into this format. Layout
+// (little-endian):
 //
 //	magic   "DVIS"                      4 bytes
 //	version uint16 + cert scheme uint16 4 bytes
@@ -391,40 +395,6 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// WriteSnapshot encodes certs in the snapshot format onto w.
-func WriteSnapshot(w io.Writer, certs []string) error {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	var hdr [16]byte
-	copy(hdr[:4], snapMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], Version)
-	binary.LittleEndian.PutUint16(hdr[6:8], CertScheme)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(certs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var lenBuf [4]byte
-	for _, c := range certs {
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(c)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(c); err != nil {
-			return err
-		}
-	}
-	// Flush pushes every hashed byte through the MultiWriter before the
-	// trailer is written directly to w (the trailer is not part of the
-	// CRC'd region).
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
-	return err
-}
-
 // ReadSnapshotFile loads and fully verifies a snapshot file.
 func ReadSnapshotFile(path string) ([]string, error) {
 	f, err := os.Open(path)
@@ -440,8 +410,9 @@ func ReadSnapshotFile(path string) ([]string, error) {
 }
 
 // ReadSnapshot decodes and verifies a snapshot from r: magic, version,
-// framing, and the trailing CRC must all check out, or a typed error is
-// returned and no data is.
+// certificate scheme, framing, and the trailing CRC must all check out,
+// or a typed error is returned and no data is. Nothing writes a snapshot
+// any more; Open reads one an older build left as the prefix of the log.
 func ReadSnapshot(r io.Reader) ([]string, error) {
 	br := bufio.NewReader(r)
 	crc := crc32.NewIEEE()
@@ -561,10 +532,8 @@ func readWALRecord(br *bufio.Reader) (seq uint64, cert string, n int, err error)
 	if _, err := io.ReadFull(br, sumBuf[:]); err != nil {
 		return 0, "", 0, truncated(err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(payload)
-	if binary.LittleEndian.Uint32(sumBuf[:]) != crc.Sum32() {
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
+	if binary.LittleEndian.Uint32(sumBuf[:]) != sum {
 		return 0, "", 0, ErrChecksum
 	}
 	return seq, string(payload), int(len(hdr)) + int(length) + 4, nil

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -20,10 +22,59 @@ func testCerts(n int) []string {
 	return certs
 }
 
+// writeSnapshot encodes certs in the snapshot format of older builds,
+// stamped with the given certificate scheme. Nothing in the package
+// writes a snapshot any more; the tests use it to build the directories
+// those builds left.
+func writeSnapshot(w io.Writer, certs []string, scheme uint16) error {
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriter(io.MultiWriter(w, crc))
+	var hdr [16]byte
+	copy(hdr[:4], snapMagic)
+	binary.LittleEndian.PutUint16(hdr[4:6], Version)
+	binary.LittleEndian.PutUint16(hdr[6:8], scheme)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(certs)))
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return err
+	}
+	var lenBuf [4]byte
+	for _, c := range certs {
+		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(c)))
+		if _, err := bw.Write(lenBuf[:]); err != nil {
+			return err
+		}
+		if _, err := bw.WriteString(c); err != nil {
+			return err
+		}
+	}
+	// Flush pushes every hashed byte through the MultiWriter before the
+	// trailer is written directly to w (the trailer is not part of the
+	// CRC'd region).
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
+	_, err := w.Write(sum[:])
+	return err
+}
+
+// writeSnapshotFile leaves in dir the snapshot of certs an older build
+// wrote at compaction.
+func writeSnapshotFile(t *testing.T, dir string, certs []string, scheme uint16) {
+	t.Helper()
+	err := WriteFileAtomic(filepath.Join(dir, SnapshotName), func(w io.Writer) error {
+		return writeSnapshot(w, certs, scheme)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, certs := range [][]string{nil, {""}, {"a"}, testCerts(100)} {
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, certs); err != nil {
+		if err := writeSnapshot(&buf, certs, CertScheme); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadSnapshot(&buf)
@@ -43,7 +94,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, testCerts(20)); err != nil {
+	if err := writeSnapshot(&buf, testCerts(20), CertScheme); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -144,29 +195,44 @@ func TestStoreWALReload(t *testing.T) {
 	}
 }
 
-func TestStoreCompactAndReload(t *testing.T) {
+// TestStoreLegacySnapshotThenWAL: a directory an older build compacted
+// (a snapshot plus the header-only WAL it reset) reopens with the
+// snapshot as the log's prefix, appends continue its ids, and the
+// snapshot is read, never rewritten.
+func TestStoreLegacySnapshotThenWAL(t *testing.T) {
 	dir := t.TempDir()
 	certs := testCerts(30)
-	s := openAppend(t, dir, certs[:20])
-	if err := s.Compact(certs[:20]); err != nil {
+	writeSnapshotFile(t, dir, certs[:20], CertScheme)
+	if err := openAppend(t, dir, nil).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.SinceSnapshot() != 0 {
-		t.Fatalf("SinceSnapshot = %d after compact", s.SinceSnapshot())
+	snapPath := filepath.Join(dir, SnapshotName)
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range certs[20:] {
-		if _, err := s.Append(c); err != nil {
+	have := 20 // certificates in the directory
+	for _, part := range [][]string{certs[20:25], certs[25:]} {
+		s, res := reopen(t, dir)
+		wantCerts(t, res.Certs, certs[:have])
+		if res.SnapshotCerts != 20 || res.WALReplayed != have-20 {
+			t.Fatalf("result = %+v", res)
+		}
+		for _, c := range part {
+			if seq, err := s.Append(c); err != nil || seq != uint64(have) {
+				t.Fatalf("Append = %d, %v; want seq %d", seq, err, have)
+			}
+			have++
+		}
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, res := reopen(t, dir)
-	defer s2.Close()
+	s, res := reopen(t, dir)
+	defer s.Close()
 	wantCerts(t, res.Certs, certs)
-	if res.SnapshotCerts != 20 || res.WALReplayed != 10 {
-		t.Fatalf("result = %+v", res)
+	if after, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(after, snap) {
+		t.Fatalf("snapshot changed on disk (err %v)", err)
 	}
 }
 
@@ -182,43 +248,77 @@ func TestStoreCrashNoClose(t *testing.T) {
 	wantCerts(t, res.Certs, certs)
 }
 
-// TestStoreTornTail simulates a record half-written at crash time: the
-// torn bytes are dropped and reported, everything before them survives.
+// TestStoreTornTail cuts a 4-record log at every byte, as a crash can:
+// Open returns exactly the records wholly inside the cut and reports the
+// rest as TornBytes (the whole file, below the 8-byte header), and an
+// Append after the cut survives a reopen under the next id. That record
+// is shorter than the longest torn tail, so Open must truncate the tail,
+// not merely write over it. The same cuts run on a directory holding an
+// older build's snapshot, whose ids the log continues.
 func TestStoreTornTail(t *testing.T) {
-	dir := t.TempDir()
-	certs := testCerts(10)
-	s := openAppend(t, dir, certs)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Append a partial record by hand.
-	walPath := filepath.Join(dir, WALName)
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := appendWALRecord(nil, 10, "torn-away-cert")
-	torn := full[:len(full)-5]
-	if _, err := f.Write(torn); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, base := range [][]string{nil, testCerts(3)} {
+		recs := []string{"r0", "", "record-two", "r3"}
+		ref := t.TempDir()
+		if base != nil {
+			writeSnapshotFile(t, ref, base, CertScheme)
+		}
+		if err := openAppend(t, ref, recs).Close(); err != nil {
+			t.Fatal(err)
+		}
+		full, err := os.ReadFile(filepath.Join(ref, WALName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ends[i] is the log's size once record i is whole.
+		ends := make([]int, len(recs))
+		end := walHeaderLen
+		for i, c := range recs {
+			end += len(appendWALRecord(nil, uint64(len(base)+i), c))
+			ends[i] = end
+		}
+		if end != len(full) {
+			t.Fatalf("log is %d bytes, framing accounts for %d", len(full), end)
+		}
 
-	s2, res := reopen(t, dir)
-	wantCerts(t, res.Certs, certs)
-	if res.TornBytes != int64(len(torn)) {
-		t.Fatalf("TornBytes = %d, want %d", res.TornBytes, len(torn))
+		for cut := 0; cut <= len(full); cut++ {
+			dir := t.TempDir()
+			if base != nil {
+				writeSnapshotFile(t, dir, base, CertScheme)
+			}
+			if err := os.WriteFile(filepath.Join(dir, WALName), full[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			whole, torn := 0, cut
+			if cut >= walHeaderLen {
+				torn = cut - walHeaderLen
+				for whole < len(recs) && ends[whole] <= cut {
+					torn = cut - ends[whole]
+					whole++
+				}
+			}
+			want := append(append([]string(nil), base...), recs[:whole]...)
+
+			s, res := reopen(t, dir)
+			wantCerts(t, res.Certs, want)
+			if res.TornBytes != int64(torn) {
+				t.Fatalf("cut %d: TornBytes = %d, want %d", cut, res.TornBytes, torn)
+			}
+			if seq, err := s.Append("z"); err != nil || seq != uint64(len(want)) {
+				t.Fatalf("cut %d: Append = %d, %v; want seq %d", cut, seq, err, len(want))
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, res = reopen(t, dir)
+			wantCerts(t, res.Certs, append(want, "z"))
+			if res.TornBytes != 0 {
+				t.Fatalf("cut %d: TornBytes = %d after a clean close", cut, res.TornBytes)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// The torn tail was truncated: appending and reloading works.
-	if _, err := s2.Append("after-recovery"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, res3 := reopen(t, dir)
-	defer s3.Close()
-	wantCerts(t, res3.Certs, append(append([]string(nil), certs...), "after-recovery"))
 }
 
 // TestStoreWALChecksumCorruption: a bit flip inside a complete record must
@@ -247,13 +347,7 @@ func TestStoreWALChecksumCorruption(t *testing.T) {
 // to load with *VersionError.
 func TestStoreSnapshotVersionMismatch(t *testing.T) {
 	dir := t.TempDir()
-	s := openAppend(t, dir, testCerts(5))
-	if err := s.Compact(testCerts(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotFile(t, dir, testCerts(5), CertScheme)
 	snapPath := filepath.Join(dir, SnapshotName)
 	b, err := os.ReadFile(snapPath)
 	if err != nil {
@@ -270,21 +364,35 @@ func TestStoreSnapshotVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestStoreStaleWALAfterCompactCrash covers the compaction window: the
-// snapshot has been renamed into place but the WAL still holds the old
-// records. Replay must skip them (idempotent by sequence number).
+// TestStoreSnapshotOtherScheme: a snapshot an older build wrote under
+// certificate scheme 0 fails Open with a *SchemeError naming both
+// schemes, even though the WAL beside it is current.
+func TestStoreSnapshotOtherScheme(t *testing.T) {
+	dir := t.TempDir()
+	if err := openAppend(t, dir, nil).Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeSnapshotFile(t, dir, testCerts(5), 0)
+	_, _, err := Open(dir, Options{})
+	var se *SchemeError
+	if !errors.As(err, &se) {
+		t.Fatalf("Open err = %v, want *SchemeError", err)
+	}
+	if se.File != SnapshotName || se.Got != 0 || se.Want != CertScheme {
+		t.Fatalf("SchemeError = %+v, want %s with schemes 0 and %d", se, SnapshotName, CertScheme)
+	}
+}
+
+// TestStoreStaleWALAfterCompactCrash covers an older build's compaction
+// window: the snapshot has been renamed into place but the WAL still
+// holds the old records. Replay must skip them (idempotent by sequence
+// number).
 func TestStoreStaleWALAfterCompactCrash(t *testing.T) {
 	dir := t.TempDir()
 	certs := testCerts(15)
-	s := openAppend(t, dir, certs)
-	// Write the snapshot but "crash" before resetWAL.
-	err := WriteFileAtomic(filepath.Join(dir, SnapshotName), func(w io.Writer) error {
-		return WriteSnapshot(w, certs)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = s // never closed
+	_ = openAppend(t, dir, certs) // never closed
+	// The snapshot lands, but the "crash" comes before the WAL reset.
+	writeSnapshotFile(t, dir, certs, CertScheme)
 
 	s2, res := reopen(t, dir)
 	defer s2.Close()
@@ -324,8 +432,8 @@ func TestAppendAfterClose(t *testing.T) {
 	if _, err := s.Append("b"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
-	if err := s.Compact(nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	if err := s.Sync(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Sync err = %v, want ErrClosed", err)
 	}
 }
 

@@ -288,8 +288,9 @@ func (s *Store) insertLocked(key [32]byte, tree *core.Tree, rec *obs.Recorder) {
 
 // Stats is a point-in-time summary of a Store.
 type Stats struct {
-	// Entries and Bytes describe the decoded-tree LRU; MemBudget is its
-	// configured bound.
+	// Entries and Bytes describe the decoded-tree LRU: Bytes is the
+	// estimated heap of the cached trees (core.Tree.HeapBytes), not their
+	// encoded size. MemBudget is the LRU's configured bound on Bytes.
 	Entries   int   `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	MemBudget int64 `json:"mem_budget"`

@@ -14,7 +14,6 @@ import (
 var spanlessPhases = map[string]bool{
 	"worker_busy":       true,
 	"wal_append":        true,
-	"snapshot":          true,
 	"treestore_load":    true,
 	"treestore_persist": true,
 	"http_request":      true,
